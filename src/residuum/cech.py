@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exact import ExactComplex, ONE, ZERO, format_exact, parse_exact
+from .exact import ExactComplex, ONE, ZERO, _lines, format_exact, parse_exact
 
 Simplex = Tuple[int, ...]
 
@@ -387,10 +387,7 @@ def parse_nerve_text(text: str) -> Nerve:
     optional `maximal` header line."""
     maximal = False
     raw: List[Tuple[int, ...]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(text):
         if body.lower() == "maximal":
             maximal = True
             continue
@@ -416,10 +413,7 @@ def parse_cochain_text(text: str) -> Cochain:
     """`degree k` header then `i1,...,ik+1 : <exact complex>` lines."""
     degree = None
     values: Dict[Simplex, ExactComplex] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(text):
         if degree is None:
             parts = body.split()
             if len(parts) != 2 or parts[0].lower() != "degree":

@@ -32,7 +32,7 @@ from .cech import (
     standard_good_nerves,
 )
 from .divisor import CDivisor
-from .exact import ExactComplex, ONE, ZERO
+from .exact import ExactComplex, ONE, ZERO, _lines
 from .periods import Path, arc, fixed_contour_integral, line
 from .rational import Polynomial, RationalFunction, linear_roots
 from .sphere import SpherePoint, parse_sphere_point
@@ -464,10 +464,7 @@ def sphere_divisor_transitions(divisor: CDivisor) -> List[TransitionData]:
 def parse_hodge_text(text: str) -> HodgeRecord:
     """Lines `b1 = n`, `d_omega0 = n`, `h01 = n`, optional `h2 = n`."""
     fields = {"h2": 0}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(text):
         if "=" not in body:
             raise ValueError(f"line {lineno}: expected `key = value`")
         key, val = (p.strip() for p in body.split("=", 1))
@@ -511,10 +508,7 @@ def parse_transition_text(
             )
         current_name, current_values = None, {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(text):
         lowered = body.lower()
         if lowered.startswith("mode"):
             header = lowered.split(None, 1)[1].strip() if len(lowered.split()) > 1 else ""

@@ -17,34 +17,13 @@ import sys
 from pathlib import Path as FilePath
 from typing import List, Optional
 
-from .cech import CochainError, NerveError, cohomology_dims, parse_nerve_text
-from .chern import (
-    TransitionError,
-    chern_cocycle,
-    parse_hodge_text,
-    parse_transition_text,
-    residue_feasible,
-)
-from .divisor import DivisorError, parse_divisor_text
-from .exact import format_exact
-from .models import (
-    ModelError,
-    SphereModel,
-    TorusModel,
-    format_form_for_model,
-    parse_form_for_model,
-    prescribe_residues,
-)
-from .periods import (
-    GardenError,
-    PathError,
-    PrescriptionError,
-    QuadratureError,
-    parse_garden_text,
-    period_vectors,
-)
+from .cech import cohomology_dims, parse_nerve_text
+from .chern import chern_cocycle, parse_hodge_text, parse_transition_text, residue_feasible
+from .divisor import parse_divisor_text
+from .exact import format_exact, parse_exact
+from .models import format_form_for_model, make_model, parse_form_for_model, prescribe_residues
+from .periods import QuadratureError, parse_garden_text, period_tolerance, period_vectors
 from .pluriharmonic import (
-    PairError,
     Pair,
     PluriharmonicField,
     format_pair_text,
@@ -53,24 +32,8 @@ from .pluriharmonic import (
     pluriharmonic_space_dim,
     well_definedness_audit,
 )
-from .sphere import SphereError, decompose_kinds, format_form_text, parse_form_text
-from .torus import Torus, TorusError
-
-PARSE_ERRORS = (
-    NerveError,
-    CochainError,
-    DivisorError,
-    TransitionError,
-    SphereError,
-    TorusError,
-    ModelError,
-    GardenError,
-    PathError,
-    PairError,
-    PrescriptionError,
-    DivisorError,
-    ValueError,
-)
+from .sphere import decompose_kinds, format_form_text, parse_form_text
+from .torus import DEFAULT_CUTOFF
 
 
 def _fmt(z: complex) -> str:
@@ -124,21 +87,10 @@ def cmd_feasible(args) -> int:
     return result.exit_code
 
 
-def _model_from_args(args):
-    if args.model == "sphere":
-        return SphereModel()
-    if args.model == "torus":
-        if not args.tau:
-            raise ModelError("torus model needs --tau")
-        from .exact import parse_exact
-
-        return TorusModel(Torus(parse_exact(args.tau).to_complex(), args.cutoff))
-    raise ModelError(f"unknown model {args.model!r}")
-
-
 def cmd_prescribe(args) -> int:
     divisor = parse_divisor_text(_read(args.divisor))
-    model = _model_from_args(args)
+    tau = parse_exact(args.tau).to_complex() if args.tau else None
+    model = make_model(args.model, tau, args.cutoff)
     form = prescribe_residues(model, divisor)
     text = format_form_for_model(form, model)
     if args.out:
@@ -189,8 +141,6 @@ def cmd_pluriharm(args) -> int:
         return 0
     pair = parse_pair_text(_read(args.pair))
     if args.action == "eval":
-        from .exact import parse_exact
-
         z = parse_exact(args.at).to_complex()
         field = PluriharmonicField(pair)
         print(f"{field.real_value(z):.15g}")
@@ -205,8 +155,6 @@ def cmd_pluriharm(args) -> int:
     if args.action == "audit":
         worst = well_definedness_audit(pair, n_random_loops=args.loops, seed=args.seed)
         print(f"{worst:.15g}")
-        from .periods import period_tolerance
-
         return 0 if worst < period_tolerance() else 4
     raise ValueError(f"unknown pluriharm action {args.action!r}")
 
@@ -242,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("sphere", "torus"), required=True)
     p.add_argument("--divisor", required=True)
     p.add_argument("--tau", help="torus modulus, e.g. '0.3 + 1.1 i'")
-    p.add_argument("--cutoff", type=int, default=30)
+    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
     p.add_argument("--out")
     p.set_defaults(func=cmd_prescribe)
 
@@ -293,7 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except QuadratureError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except PARSE_ERRORS as e:
+    except ValueError as e:  # every input error class derives from ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import ExactComplex, ZERO, format_exact, parse_exact
+from .exact import ExactComplex, ZERO, _lines, format_exact, parse_exact
 
 
 class DivisorError(ValueError):
@@ -76,10 +76,7 @@ class CDivisor:
 def parse_divisor_text(text: str) -> CDivisor:
     """Lines `name : coefficient` with exact or decimal coefficient literals."""
     pairs: List[Tuple[str, ExactComplex]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(text):
         if ":" not in body:
             raise DivisorError(f"line {lineno}: expected `name : coefficient`")
         name, val = body.split(":", 1)

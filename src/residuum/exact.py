@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -115,6 +115,8 @@ class ExactComplex:
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
+    __complex__ = to_complex
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, complex, ExactComplex)):
             other = ExactComplex.coerce(other)
@@ -157,6 +159,23 @@ def format_exact(z: ExactComplex) -> str:
     mag = abs(z.im)
     imtxt = "i" if mag == 1 else f"{_format_rat(mag)} i"
     return f"{_format_rat(z.re)} {sign} {imtxt}"
+
+
+def format_complex(z: complex) -> str:
+    """Lossless text of a float complex, `re + im i` with repr digits and
+    the sign folded; `parse_exact` reads it back to the same float."""
+    z = complex(z)
+    sign = "-" if z.imag < 0 else "+"
+    return f"{z.real!r} {sign} {abs(z.imag)!r} i"
+
+
+def _lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(line number, body) of each line of a text file format, with its
+    `#` comment cut off and blank lines skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
 
 
 _TERM = re.compile(

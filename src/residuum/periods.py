@@ -19,17 +19,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .divisor import CDivisor
-from .exact import ExactComplex
-from .models import (
-    Form,
-    Model,
-    ModelError,
-    SphereModel,
-    TorusModel,
-    prescribe_residues,
-)
-from .sphere import SpherePoint, residue_at
-from .torus import holomorphic_torus, second_kind_torus
+from .exact import ExactComplex, _lines, format_complex, parse_exact
+from .models import Form, Model, ModelError, make_model, prescribe_residues
+from .sphere import SpherePoint
+from .torus import DEFAULT_CUTOFF
 
 QUAD_TOL = 1e-12
 MAX_PANELS = 1024
@@ -153,10 +146,6 @@ class Path:
                 rev.append(arc(p.a, p.radius, p.angle1, p.angle0))
         off = None if self.offset is None else -self.offset
         return Path(rev, off)
-
-    def sample_points(self, per_piece: int = 64) -> np.ndarray:
-        t = np.linspace(0.0, 1.0, per_piece)
-        return np.concatenate([p.point(t) for p in self.pieces])
 
     def min_distance(self, point: complex, per_piece: int = 256) -> float:
         """Distance from the path to a point (dense sampling; exact for lines)."""
@@ -329,29 +318,10 @@ class Garden:
     def divisor(self, coefficients: Sequence) -> CDivisor:
         return CDivisor(self.component_names, tuple(ExactComplex.coerce(a) for a in coefficients))
 
-    def finite_component_values(self) -> List[complex]:
-        out = []
-        for p in self.components:
-            if isinstance(p, SpherePoint):
-                if not p.is_infinity:
-                    out.append(p.to_complex())
-            else:
-                out.append(complex(p))
-        return out
-
     def pole_sites(self) -> List[complex]:
         """Pole locations relevant for clearance checks (lattice translates
         within one cell on the torus)."""
-        finite = self.finite_component_values()
-        if isinstance(self.model, SphereModel):
-            return finite
-        tau = self.model.torus.tau
-        sites = []
-        for p in finite:
-            for m in (-1, 0, 1):
-                for n in (-1, 0, 1):
-                    sites.append(p + m + n * tau)
-        return sites
+        return self.model.pole_sites(self.components)
 
 
 def _clearance_of_loops(loops: Sequence[Path], sites: Sequence[complex]) -> float:
@@ -375,40 +345,20 @@ def make_garden(
     Sphere: no loops (first Betti number 0); basepoint maximizes clearance
     to the finite components over a fixed grid.  Torus: the two straight
     generators through a basepoint chosen to maximize the loops' clearance
-    to all pole translates.
+    to all pole translates.  Components must be distinct (modulo the
+    lattice on the torus).
     """
-    if isinstance(model, SphereModel):
-        comps = tuple(SpherePoint.coerce(p) for p in components)
-        finite = [p.to_complex() for p in comps if not p.is_infinity]
-        if basepoint is None:
-            basepoint = _grid_argmax(
-                lambda z: min((abs(z - p) for p in finite), default=math.inf),
-                (-2.0, 2.0),
-                (-2.0, 2.0),
-                17,
-            )
-        loop_basis = tuple(loops) if loops else ()
-        garden = Garden(model, comps, loop_basis, complex(basepoint))
-    else:
-        torus = model.torus
-        comps = tuple(torus.reduce_point(complex(p))[0] for p in components)
-        tau = torus.tau
+    comps = tuple(model.coerce_point(p) for p in components)
+    for j, p in enumerate(comps):
+        if any(model.same_point(p, q) for q in comps[:j]):
+            raise GardenError(f"duplicate component {model.point_name(p)}")
+    sites = model.pole_sites(comps)
+    if basepoint is None:
+        basepoint = _auto_basepoint(model, sites)
+    basepoint = complex(basepoint)
+    loop_basis = tuple(loops) if loops else _default_loops(model, basepoint)
+    garden = Garden(model, comps, loop_basis, basepoint)
 
-        def loops_for(z0: complex) -> Tuple[Path, Path]:
-            return (segment_loop(z0, 1.0 + 0j), segment_loop(z0, tau))
-
-        sites_probe = Garden(model, comps, (), 0j).pole_sites()
-        if basepoint is None:
-            def score(st: complex) -> float:
-                z0 = st.real + st.imag * tau
-                return _clearance_of_loops(loops_for(z0), sites_probe)
-
-            best = _grid_argmax(score, (0.02, 0.98), (0.02, 0.98), 13)
-            basepoint = best.real + best.imag * tau
-        loop_basis = tuple(loops) if loops else loops_for(complex(basepoint))
-        garden = Garden(model, comps, loop_basis, complex(basepoint))
-
-    sites = garden.pole_sites()
     clearance = _clearance_of_loops(garden.loop_basis, sites)
     if clearance < garden.pole_margin:
         raise GardenError(
@@ -424,15 +374,26 @@ def make_garden(
     return garden
 
 
-def _grid_argmax(score, xr, yr, n) -> complex:
-    best_val = -math.inf
-    best = complex(xr[0], yr[0])
-    for x in np.linspace(xr[0], xr[1], n):
-        for y in np.linspace(yr[0], yr[1], n):
-            v = score(complex(x, y))
-            if v > best_val + 1e-15:
-                best_val = v
-                best = complex(x, y)
+def _default_loops(model: Model, basepoint: complex) -> Tuple[Path, ...]:
+    return tuple(segment_loop(basepoint, offset) for offset in model.loop_offsets)
+
+
+def _auto_basepoint(model: Model, sites: Sequence[complex]) -> complex:
+    """The grid candidate whose default loops, or with none the point
+    itself, clear the pole sites best; the first wins ties."""
+
+    def score(z: complex) -> float:
+        loops = _default_loops(model, z)
+        if loops:
+            return _clearance_of_loops(loops, sites)
+        return min((abs(z - p) for p in sites), default=math.inf)
+
+    candidates = model.basepoint_grid()
+    best_val, best = -math.inf, candidates[0]
+    for z in candidates:
+        v = score(z)
+        if v > best_val + 1e-15:
+            best_val, best = v, z
     return best
 
 
@@ -440,21 +401,11 @@ def _grid_argmax(score, xr, yr, n) -> complex:
 
 
 def _check_form_in_garden(form: Form, garden: Garden) -> None:
-    from .models import form_poles
-
-    names = set(garden.component_names)
-    for p, _ in form_poles(garden.model, form):
-        if garden.model.point_name(p) not in names:
-            # torus points may differ in float noise; fall back to distance
-            if isinstance(garden.model, TorusModel):
-                torus = garden.model.torus
-                if any(
-                    torus.translate_distance(complex(p), complex(q)) < 1e-9
-                    for q in garden.components
-                ):
-                    continue
+    model = garden.model
+    for p, _ in model.poles(form):
+        if not any(model.same_point(p, q) for q in garden.components):
             raise GardenError(
-                f"form has a pole at {garden.model.point_name(p)}, "
+                f"form has a pole at {model.point_name(p)}, "
                 "not among the garden components"
             )
 
@@ -468,32 +419,16 @@ def long_period_vector(form: Form, garden: Garden, tol: float = QUAD_TOL) -> Lis
 def small_circle_radius(garden: Garden, index: int) -> float:
     """Half the distance from a component to every other pole site (and, on
     the torus, to its own nearest lattice translate)."""
-    comp = garden.components[index]
-    if isinstance(garden.model, SphereModel):
-        if comp.is_infinity:
-            others = [1.0 / p for p in garden.finite_component_values() if p != 0]
-            return min((abs(w) for w in others), default=1.0) / 2.0
-        center = comp.to_complex()
-        dists = [abs(center - p) for p in garden.finite_component_values() if abs(center - p) > 1e-15]
-        return min(dists, default=2.0) / 2.0
-    torus = garden.model.torus
-    center = complex(comp)
-    best = min(abs(m + n * torus.tau) for m in (-1, 0, 1) for n in (-1, 0, 1) if (m, n) != (0, 0))
-    for q in garden.components:
-        d = torus.translate_distance(center, complex(q))
-        if d > 1e-15:
-            best = min(best, d)
-    return best / 2.0
+    return garden.model.circle_radius(garden.components, index)
 
 
 def _component_circle(garden: Garden, index: int) -> Tuple[Path, bool]:
     """Small counterclockwise circle around a component; the flag marks the
     infinity component (whose circle lives in the w = 1/z chart)."""
-    comp = garden.components[index]
+    center = garden.model.point_value(garden.components[index])
     r = small_circle_radius(garden, index)
-    if isinstance(garden.model, SphereModel) and comp.is_infinity:
+    if center is None:
         return circle(0j, r), True
-    center = comp.to_complex() if isinstance(comp, SpherePoint) else complex(comp)
     return circle(center, r), False
 
 
@@ -506,23 +441,19 @@ def short_period_vector(
     residue; disagreement beyond 1e-9 raises QuadratureError.
     """
     _check_form_in_garden(form, garden)
+    model = garden.model
     out: List[complex] = []
     for j, comp in enumerate(garden.components):
         loop, at_infinity = _component_circle(garden, j)
-        if isinstance(garden.model, SphereModel):
-            exact = residue_at(form, comp).to_complex()
-            target = form.at_infinity_chart() if at_infinity else form
-            quad = contour_integral(target, loop, tol)
-        else:
-            exact = form.residue_at(complex(comp))
-            quad = contour_integral(form, loop, tol)
-        expected = short_period_from_residue(exact)
+        expected = short_period_from_residue(model.residue(form, comp))
+        target = form.at_infinity_chart() if at_infinity else form
+        quad = contour_integral(target, loop, tol)
         if abs(quad - expected) > RESIDUE_AGREE_TOL:
             raise QuadratureError(
                 f"small-circle integral {quad} disagrees with 2 pi i x residue "
-                f"{expected} at component {garden.model.point_name(comp)}"
+                f"{expected} at component {model.point_name(comp)}"
             )
-        out.append(expected if isinstance(garden.model, SphereModel) else quad)
+        out.append(expected if model.exact_residues else quad)
     return out
 
 
@@ -543,8 +474,7 @@ def well_defined_residue_check(
     Each circle must enclose that pole and no other; violating the
     precondition raises GardenError.
     """
-    comp = garden.components[component_index]
-    center = comp.to_complex() if isinstance(comp, SpherePoint) else complex(comp)
+    center = garden.model.point_value(garden.components[component_index])
     for c in (circle1, circle2):
         piece = c.pieces[0]
         if piece.kind != "arc":
@@ -553,18 +483,11 @@ def well_defined_residue_check(
         for p in garden.pole_sites():
             if abs(p - piece.a) < piece.radius - 1e-12:
                 inside.append(p)
-        if len(inside) != 1 or abs(inside[0] - center) > 1e-9:
-            if isinstance(garden.model, TorusModel):
-                ok = len(inside) == 1 and garden.model.torus.translate_distance(
-                    inside[0], center
-                ) < 1e-9
-            else:
-                ok = False
-            if not ok:
-                raise GardenError(
-                    f"circle around {piece.a} encloses {len(inside)} pole site(s); "
-                    "need exactly the checked component"
-                )
+        if len(inside) != 1 or not garden.model.same_point(inside[0], center):
+            raise GardenError(
+                f"circle around {piece.a} encloses {len(inside)} pole site(s); "
+                "need exactly the checked component"
+            )
     v1 = contour_integral(form, circle1)
     v2 = contour_integral(form, circle2)
     return abs(v1 - v2) < tol
@@ -576,15 +499,12 @@ def is_exact(form: Form, garden: Garden, tol: Optional[float] = None) -> bool:
     tol = period_tolerance() if tol is None else tol
     longs, shorts = period_vectors(form, garden)
     numeric = all(abs(v) < tol for v in longs) and all(abs(v) < tol for v in shorts)
-    if isinstance(garden.model, SphereModel):
-        from .sphere import has_rational_antiderivative
-
-        symbolic = has_rational_antiderivative(form)
-        if symbolic != numeric:
-            raise QuadratureError(
-                "symbolic and numeric exactness criteria disagree "
-                f"(symbolic={symbolic}, numeric={numeric})"
-            )
+    symbolic = garden.model.symbolic_exactness(form)
+    if symbolic is not None and symbolic != numeric:
+        raise QuadratureError(
+            "symbolic and numeric exactness criteria disagree "
+            f"(symbolic={symbolic}, numeric={numeric})"
+        )
     return numeric
 
 
@@ -608,30 +528,16 @@ def prescribe_full(
         base = prescribe_residues(garden.model, target_residues)
     except (ValueError, ModelError) as e:
         raise PrescriptionError(str(e)) from None
-    if isinstance(garden.model, SphereModel):
-        return base
-    torus = garden.model.torus
-    u = long_period_vector(base, garden) if not base.is_zero() else [0j, 0j]
-    rhs1 = complex(target_long[0]) - u[0]
-    rhs2 = complex(target_long[1]) - u[1]
-    if not garden.components:
-        # no pole available: only multiples of dz remain
-        alpha = rhs1
-        if abs(rhs2 - alpha * torus.tau) > period_tolerance():
-            raise PrescriptionError(
-                "long-period target needs a second-kind pole, but the garden "
-                "has no components to host one"
-            )
-        return base + holomorphic_torus(torus, alpha)
-    eta1, eta2, tau = torus.eta1, torus.eta2, torus.tau
-    det = -eta2 + tau * eta1  # Legendre: equals 2 pi i
-    alpha = (rhs1 * (-eta2) - (-eta1) * rhs2) / det
-    beta = (rhs2 - tau * rhs1) / det
-    p1 = complex(garden.components[0])
-    out = base + holomorphic_torus(torus, alpha)
-    if beta != 0:
-        out = out + second_kind_torus(torus, p1, 2).scale(beta)
-    return out
+    try:
+        return garden.model.fit_long_periods(
+            base,
+            target_long,
+            garden.components,
+            lambda f: long_period_vector(f, garden),
+            period_tolerance(),
+        )
+    except ModelError as e:
+        raise PrescriptionError(str(e)) from None
 
 
 # -- garden text format ---------------------------------------------------------
@@ -651,19 +557,13 @@ def parse_garden_text(text: str) -> Garden:
     Loops are auto-generated when no override is given; a polyline loop may
     close up to a lattice vector on the torus.
     """
-    from .exact import parse_exact
-    from .torus import Torus
-
     model_tag = None
     tau = None
-    cutoff = 30
+    cutoff = DEFAULT_CUTOFF
     components: List[str] = []
     basepoint = None
     loop_specs: List[Tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(text):
         try:
             if body.startswith("model"):
                 model_tag = body.split(None, 1)[1].strip()
@@ -682,22 +582,18 @@ def parse_garden_text(text: str) -> Garden:
                 raise GardenError(f"line {lineno}: unknown directive {body!r}")
         except (IndexError, ValueError) as e:
             raise GardenError(f"line {lineno}: {e}") from None
-    if model_tag == "sphere":
-        model: Model = SphereModel()
-    elif model_tag == "torus":
-        if tau is None:
-            raise GardenError("torus garden needs a `tau = a + b i` line")
-        model = TorusModel(Torus(tau, cutoff))
-    else:
+    if model_tag is None:
         raise GardenError("garden file needs a `model sphere|torus` line")
+    try:
+        model = make_model(model_tag, tau, cutoff)
+    except ModelError as e:
+        raise GardenError(str(e)) from None
     points = [model.parse_point(c) for c in components]
     loops = [_parse_loop_spec(kind, rest, model) for kind, rest in loop_specs] or None
     return make_garden(model, points, basepoint=basepoint, loops=loops)
 
 
 def _parse_loop_spec(kind: str, rest: str, model: Model) -> Path:
-    from .exact import parse_exact
-
     parts = [p.strip() for p in rest.split(";") if p.strip()]
     if kind == "circle":
         if len(parts) != 2:
@@ -710,35 +606,20 @@ def _parse_loop_spec(kind: str, rest: str, model: Model) -> Path:
         offset = pts[-1] - pts[0]
         if abs(offset) < 1e-12:
             offset = 0j
-        elif isinstance(model, SphereModel):
-            raise GardenError("sphere loops must close exactly")
+        elif not model.loop_offsets:
+            raise GardenError(f"{model.tag} loops must close exactly")
         return Path([line(a, b) for a, b in zip(pts, pts[1:])], offset=offset)
     raise GardenError(f"unknown loop kind {kind!r}")
 
 
 def format_garden_text(garden: Garden) -> str:
-    lines = [f"model {garden.model.tag}"]
-    if isinstance(garden.model, TorusModel):
-        torus = garden.model.torus
-        re, im = repr(torus.tau.real), repr(torus.tau.imag)
-        lines.append(f"tau = {re} + {im} i")
-        lines.append(f"cutoff = {torus.cutoff}")
-    for name in garden.component_names:
-        lines.append(f"component {name}")
-    bp = garden.basepoint
-    sign = "-" if bp.imag < 0 else "+"
-    lines.append(f"basepoint {bp.real!r} {sign} {abs(bp.imag)!r} i")
+    lines = garden.model.header_lines()
+    lines += [f"component {name}" for name in garden.component_names]
+    lines.append(f"basepoint {format_complex(garden.basepoint)}")
     return "\n".join(lines) + "\n"
 
 
 def normalize_pure_imaginary(form: Form, garden: Garden) -> Form:
     """Add mu dz so both long periods become purely imaginary (torus only;
     on the sphere there are no long periods and the form returns unchanged)."""
-    if isinstance(garden.model, SphereModel):
-        return form
-    torus = garden.model.torus
-    b = long_period_vector(form, garden)
-    x = -b[0].real
-    y = (b[1].real + x * torus.tau.real) / torus.tau.imag
-    mu = complex(x, y)
-    return form + holomorphic_torus(torus, mu)
+    return garden.model.normalize_pure_imaginary(form, lambda f: long_period_vector(f, garden))

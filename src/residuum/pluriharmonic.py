@@ -25,7 +25,7 @@ import numpy as np
 
 from .divisor import CDivisor
 from .exact import ExactComplex
-from .models import Form, SphereModel, TorusModel, third_kind
+from .models import Form, third_kind
 from .periods import (
     Garden,
     GardenError,
@@ -39,8 +39,6 @@ from .periods import (
     period_vectors,
     prescribe_full,
 )
-from .sphere import SpherePoint, residue_at
-from .torus import holomorphic_torus, second_kind_torus
 
 
 class PairError(ValueError):
@@ -62,18 +60,6 @@ class AntiMeromorphicForm:
         return contour_integral(self.conjugate_of, path, tol).conjugate()
 
 
-def classical_residues(form: Form, garden: Garden) -> List[complex]:
-    """Residue at each garden component (exact on the sphere, bookkept on
-    the torus)."""
-    out = []
-    for comp in garden.components:
-        if isinstance(garden.model, SphereModel):
-            out.append(residue_at(form, comp).to_complex())
-        else:
-            out.append(form.residue_at(complex(comp)))
-    return out
-
-
 def conjugate(form: Form, garden: Garden) -> AntiMeromorphicForm:
     """Anti-meromorphic conjugate: the pair (form, result) has negating
     long and short period vectors.
@@ -81,10 +67,11 @@ def conjugate(form: Form, garden: Garden) -> AntiMeromorphicForm:
     The auxiliary form gets residue targets conj(r_j) and long-period
     targets -conj(b_i); conjugating it pointwise then flips both, which is
     the unique choice cancelling every small-circle and loop period of the
-    sum under the classical residue normalization.
+    sum under the classical residue normalization.  Residues stay in the
+    model's own type, so sphere residues are conjugated exactly.
     """
-    residues = classical_residues(form, garden)
-    total = sum(residues, 0j)
+    residues = [garden.model.residue(form, comp) for comp in garden.components]
+    total = complex(sum(residues, 0j))
     if abs(total) > 1e-9:
         raise PairError(
             f"residue coefficients sum to {total:.3e}; no conjugate exists"
@@ -93,7 +80,7 @@ def conjugate(form: Form, garden: Garden) -> AntiMeromorphicForm:
     targets_long = [-v.conjugate() for v in b]
     divisor = CDivisor(
         garden.component_names,
-        tuple(ExactComplex.from_complex(r.conjugate()) for r in residues),
+        tuple(ExactComplex.coerce(r.conjugate()) for r in residues),
     )
     psi = prescribe_full(targets_long, divisor, garden)
     return AntiMeromorphicForm(psi)
@@ -144,9 +131,7 @@ class Pair:
 def _same_garden(g1: Garden, g2: Garden) -> bool:
     if g1 is g2:
         return True
-    if type(g1.model) is not type(g2.model):
-        return False
-    if isinstance(g1.model, TorusModel) and g1.model.torus.tau != g2.model.torus.tau:
+    if type(g1.model) is not type(g2.model) or not g1.model.same_surface(g2.model):
         return False
     return (
         g1.component_names == g2.component_names
@@ -193,15 +178,17 @@ class PluriharmonicField:
     """Single-valued integral of a pair from the garden basepoint."""
 
     pair: Pair
-    closed_form: Optional[Tuple[Tuple[complex, complex], ...]] = None
 
     @property
     def garden(self) -> Garden:
         return self.pair.garden
 
     def value(self, z: complex, path: Optional[Path] = None) -> complex:
-        """h(z), complex in general (real when the data is self-conjugate)."""
+        """h(z), complex in general (real when the data is self-conjugate);
+        h is 0 at the garden basepoint by definition."""
         if path is None:
+            if complex(z) == self.garden.basepoint:
+                return 0j
             path = evaluation_path(self.garden, complex(z))
         else:
             if abs(path.start - self.garden.basepoint) > 1e-12:
@@ -251,10 +238,10 @@ def build_field(form: Form, garden: Garden) -> PluriharmonicField:
 def log_field(garden: Garden, coefficients: Sequence[complex]) -> PluriharmonicField:
     """The sphere field sum r_i log|z - p_i|^2 (+const), built exactly.
 
-    Requires real coefficients summing to zero; the closed form is stored
-    so differentiation can read the coefficients back exactly.
+    Requires real coefficients summing to zero.  The form is its own
+    conjugate partner, which cancels every period only without long ones.
     """
-    if not isinstance(garden.model, SphereModel):
+    if garden.model.b1:
         raise PairError("closed-form log fields are a sphere construction")
     coeffs = [complex(c) for c in coefficients]
     if any(abs(c.imag) > 0 for c in coeffs):
@@ -269,12 +256,7 @@ def log_field(garden: Garden, coefficients: Sequence[complex]) -> PluriharmonicF
 
     phi = prescribe_residues(garden.model, divisor)
     pair = Pair.assemble(phi, AntiMeromorphicForm(phi), garden)
-    closed = tuple(
-        (comp.to_complex(), c)
-        for comp, c in zip(garden.components, coeffs)
-        if not (isinstance(comp, SpherePoint) and comp.is_infinity)
-    )
-    return PluriharmonicField(pair, closed_form=closed)
+    return PluriharmonicField(pair)
 
 
 def differentiate_field(field: PluriharmonicField) -> Form:
@@ -294,14 +276,7 @@ def field_from_form(form: Form, garden: Garden) -> PluriharmonicField:
 def _random_audit_loops(garden: Garden, n: int, seed: int) -> List[Path]:
     rng = random.Random(seed)
     sites = garden.pole_sites()
-    if isinstance(garden.model, SphereModel):
-        finite = garden.finite_component_values() or [0j]
-        xs = [p.real for p in finite]
-        ys = [p.imag for p in finite]
-        box = (min(xs) - 1.5, max(xs) + 1.5, min(ys) - 1.5, max(ys) + 1.5)
-    else:
-        tau = garden.model.torus.tau
-        box = (0.0, 1.0 + tau.real, 0.0, tau.imag)
+    box = garden.model.audit_box(garden.components)
     loops: List[Path] = []
     attempts = 0
     margin = max(garden.pole_margin, 0.04)
@@ -374,12 +349,7 @@ def spanning_forms(garden: Garden) -> List[Form]:
     out: List[Form] = []
     for j in range(1, len(comps)):
         out.append(third_kind(garden.model, comps[0], comps[j]))
-    if isinstance(garden.model, TorusModel):
-        torus = garden.model.torus
-        out.append(holomorphic_torus(torus, 1.0))
-        if comps:
-            out.append(second_kind_torus(torus, complex(comps[0]), 2))
-    return out
+    return out + garden.model.extra_spanning_forms(comps)
 
 
 def pluriharmonic_space_dim(garden: Garden) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .divisor import CDivisor
-from .exact import ExactComplex, ONE, ZERO, format_exact, parse_exact
+from .exact import ExactComplex, ONE, ZERO, _lines, format_exact, parse_exact
 from .rational import Polynomial, RationalFunction, laurent_coefficient
 
 
@@ -280,9 +280,7 @@ def parse_form_text(text: str) -> RationalForm:
     """
     import re as _re
 
-    body = " ".join(
-        line.split("#", 1)[0].strip() for line in text.splitlines()
-    ).strip()
+    body = " ".join(body for _, body in _lines(text))
     if not body:
         raise SphereError("empty form file")
     parts = _re.split(r"\s/\s", body)

@@ -20,9 +20,16 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .exact import _lines, format_complex, parse_exact
+
 TWO_PI_I = 2j * math.pi
 LATTICE_MARGIN = 1e-8
 LEGENDRE_TOL = 1e-10
+DEFAULT_CUTOFF = 30
+# cutoff N allocates (2N + 1) lattice rows per evaluation point, so a
+# user-set cutoff needs a bound; at N = 200 the exp(-2 pi N Im tau)
+# truncation is below 1e-16 for every Im tau > 0.03
+MAX_CUTOFF = 200
 
 
 class TorusError(ValueError):
@@ -73,12 +80,14 @@ def _poly_eval(coeffs: Sequence[int], u):
 class Torus:
     """The lattice Z + tau Z (Im tau > 0) with cached quasi-periods."""
 
-    def __init__(self, tau: complex, cutoff: int = 30):
+    def __init__(self, tau: complex, cutoff: int = DEFAULT_CUTOFF):
         tau = complex(tau)
         if not tau.imag > 0:
             raise TorusError(f"tau must have positive imaginary part, got {tau}")
         if cutoff < 4:
             raise TorusError("lattice-row cutoff must be at least 4")
+        if cutoff > MAX_CUTOFF:
+            raise TorusError(f"lattice-row cutoff must be at most {MAX_CUTOFF}, got {cutoff}")
         self.tau = tau
         self.cutoff = int(cutoff)
         self._rows = np.arange(-self.cutoff, self.cutoff + 1)
@@ -87,6 +96,10 @@ class Torus:
         self._csc2_rows = _csc2_pi(n_pos * tau)  # 1/sin^2(pi n tau), n >= 1
         self._csc2_sum = complex(self._csc2_rows.sum())
         self._row_offsets = n_pos * tau
+        # the nine lattice points m + n tau, |m|, |n| <= 1, around a cell
+        cell = [(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)]
+        self._cell_m = np.array([m for m, _ in cell], dtype=float)
+        self._cell_ntau = np.array([n * tau for _, n in cell])
         self.eta1 = 2.0 * complex(self._zeta_raw(0.5))
         self.eta2 = 2.0 * complex(self._zeta_raw(tau / 2.0))
         defect = abs(self.eta1 * tau - self.eta2 - TWO_PI_I)
@@ -98,42 +111,40 @@ class Torus:
 
     # -- lattice geometry -------------------------------------------------
 
+    def _reduce(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """z = z0 + m + n tau elementwise, with z0 = s + t tau, s, t in [0, 1)."""
+        t = z.imag / self.tau.imag
+        n = np.floor(t)
+        m = np.floor(z.real - t * self.tau.real)
+        return z - m - n * self.tau, m, n
+
+    def _lattice_gap(self, z0: np.ndarray) -> np.ndarray:
+        """Distance from reduced points to the nearest lattice point."""
+        d = z0[..., None] - self._cell_m - self._cell_ntau
+        return np.hypot(d.real, d.imag).min(axis=-1)
+
+    def _reduce_off_lattice(self, z) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_reduce` of points that must keep LATTICE_MARGIN from the lattice."""
+        arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        reduced, m, n = self._reduce(arr)
+        near = self._lattice_gap(reduced) < LATTICE_MARGIN
+        if np.any(near):
+            raise TorusError(f"point {arr[near][0]} is within {LATTICE_MARGIN} of a lattice point")
+        return reduced, m, n
+
     def reduce_point(self, z: complex) -> Tuple[complex, int, int]:
         """z = z0 + m + n tau with z0 = s + t tau, s, t in [0, 1)."""
-        z = complex(z)
-        t = z.imag / self.tau.imag
-        n = math.floor(t)
-        s = z.real - t * self.tau.real
-        m = math.floor(s)
-        z0 = z - m - n * self.tau
-        return z0, m, n
+        z0, m, n = self._reduce(np.array([complex(z)]))
+        return complex(z0[0]), int(m[0]), int(n[0])
 
     def lattice_distance(self, z: complex) -> float:
         """Distance from z to the nearest lattice point."""
-        z0, _, _ = self.reduce_point(z)
-        best = math.inf
-        for m in (-1, 0, 1):
-            for n in (-1, 0, 1):
-                best = min(best, abs(z0 - m - n * self.tau))
-        return best
+        z0, _, _ = self._reduce(np.array([complex(z)]))
+        return float(self._lattice_gap(z0)[0])
 
     def translate_distance(self, z: complex, w: complex) -> float:
         """Distance from z to the orbit w + lattice."""
         return self.lattice_distance(z - w)
-
-    def _check_off_lattice(self, z):
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        t = arr.imag / self.tau.imag
-        n = np.floor(t)
-        s = arr.real - t * self.tau.real
-        reduced = arr - np.floor(s) - n * self.tau
-        best = np.full(reduced.shape, np.inf)
-        for mm in (-1, 0, 1):
-            for nn in (-1, 0, 1):
-                best = np.minimum(best, np.abs(reduced - mm - nn * self.tau))
-        if np.any(best < LATTICE_MARGIN):
-            bad = np.asarray(arr)[best < LATTICE_MARGIN].ravel()[0]
-            raise TorusError(f"point {bad} is within {LATTICE_MARGIN} of a lattice point")
 
     # -- Weierstrass values -----------------------------------------------
 
@@ -150,28 +161,17 @@ class Torus:
             + 2.0 * (pi * pi) * self._csc2_sum * z
         )
 
-    def _reduce_array(self, arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = arr.imag / self.tau.imag
-        n = np.floor(t)
-        s = arr.real - t * self.tau.real
-        m = np.floor(s)
-        return arr - m - n * self.tau, m, n
-
     def zeta(self, z):
         """Weierstrass zeta; quasi-periodic with drops eta1, eta2."""
-        self._check_off_lattice(z)
         scalar = np.isscalar(z) or isinstance(z, complex)
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        reduced, m, n = self._reduce_array(arr)
+        reduced, m, n = self._reduce_off_lattice(z)
         out = self._zeta_raw(reduced) + m * self.eta1 + n * self.eta2
         return complex(out.ravel()[0]) if scalar else out
 
     def wp_deriv(self, z, k: int = 0):
         """k-th derivative of wp (k = 0 gives wp itself), elliptic."""
-        self._check_off_lattice(z)
         scalar = np.isscalar(z) or isinstance(z, complex)
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        reduced, _, _ = self._reduce_array(arr)
+        reduced, _, _ = self._reduce_off_lattice(z)
         pi = math.pi
         coeffs = _cot_poly(k)
         w = reduced[None, ...] - (self._rows[:, None] * self.tau).reshape(
@@ -317,32 +317,22 @@ def holomorphic_torus(torus: Torus, c: complex = 1.0) -> EllipticForm:
     return EllipticForm(torus, complex(c))
 
 
-def _fmt_complex(z: complex) -> str:
-    sign = "-" if z.imag < 0 else "+"
-    return f"{z.real!r} {sign} {abs(z.imag)!r} i"
-
-
 def format_elliptic_form_text(form: EllipticForm) -> str:
     """Torus form file: `c0 = ...`, `log pole : coeff`, `pp pole : order : coeff`."""
-    lines = ["torus-form", f"c0 = {_fmt_complex(form.c0)}"]
+    lines = ["torus-form", f"c0 = {format_complex(form.c0)}"]
     for p, r in sorted(form.log_terms, key=lambda t: (t[0].real, t[0].imag)):
-        lines.append(f"log {_fmt_complex(p)} : {_fmt_complex(r)}")
+        lines.append(f"log {format_complex(p)} : {format_complex(r)}")
     for p, order, c in sorted(form.second_terms, key=lambda t: (t[0].real, t[0].imag, t[1])):
-        lines.append(f"pp {_fmt_complex(p)} : {order} : {_fmt_complex(c)}")
+        lines.append(f"pp {format_complex(p)} : {order} : {format_complex(c)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_elliptic_form_text(text: str, torus: Torus) -> EllipticForm:
-    from .exact import parse_exact
-
     c0 = 0j
     logs = []
     seconds = []
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _lines(text):
         if body == "torus-form":
             saw_header = True
             continue
@@ -375,17 +365,12 @@ def parse_elliptic_form_text(text: str, torus: Torus) -> EllipticForm:
 def parse_torus_text(text: str) -> Torus:
     """`tau = a+bi` and optional `cutoff = N` lines."""
     tau = None
-    cutoff = 30
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    cutoff = DEFAULT_CUTOFF
+    for lineno, body in _lines(text):
         if "=" not in body:
             raise TorusError(f"line {lineno}: expected `key = value`")
         key, val = (part.strip() for part in body.split("=", 1))
         if key == "tau":
-            from .exact import parse_exact
-
             tau = parse_exact(val).to_complex()
         elif key == "cutoff":
             cutoff = int(val)
