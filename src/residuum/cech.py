@@ -53,14 +53,6 @@ class Nerve:
                 return k
         return -1
 
-    def index_of(self, simplex: Simplex) -> int:
-        k = len(simplex) - 1
-        table = _index_tables(self)[k]
-        try:
-            return table[simplex]
-        except KeyError:
-            raise NerveError(f"simplex {simplex} not in nerve") from None
-
     def has_simplex(self, simplex: Simplex) -> bool:
         k = len(simplex) - 1
         return 0 <= k < len(self.simplices) and simplex in _index_tables(self)[k]
@@ -293,50 +285,23 @@ class CohomologySpace:
         self.nerve = nerve
         self.degree = degree
         self.simplices = nerve.k_simplices(degree)
-        n = len(self.simplices)
-        d_k = coboundary_matrix(nerve, degree)
-        kernel = linalg.nullspace(d_k, n_cols=n) if d_k else \
-            [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-        image_cols: List[List[ExactComplex]] = []
-        if degree > 0:
-            d_prev = coboundary_matrix(nerve, degree - 1)
-            if d_prev:
-                image_cols = linalg.transpose(d_prev)
-        # grow a column basis: image columns first, then kernel vectors that
-        # still raise the rank; the latter represent H^k
-        basis: List[List[ExactComplex]] = []
-        chosen: List[List[ExactComplex]] = []
-        current_rank = 0
-        for col in image_cols:
-            trial = chosen + [col]
-            r = linalg.rank(trial)
-            if r > current_rank:
-                chosen.append(col)
-                current_rank = r
-        self._image_basis = list(chosen)
-        for vec in kernel:
-            trial = chosen + [vec]
-            r = linalg.rank(trial)
-            if r > current_rank:
-                chosen.append(vec)
-                basis.append(vec)
-                current_rank = r
-        self.basis = basis
-        self._cycle = None
-        if degree == 2 and len(basis) == 1:
+        kernel = linalg.nullspace(coboundary_matrix(nerve, degree), n_cols=len(self.simplices))
+        image_cols = linalg.transpose(coboundary_matrix(nerve, degree - 1)) if degree > 0 else []
+        # one echelon over image columns then kernel vectors: a column raises
+        # the rank of those before it exactly when it is a pivot column, and
+        # the kernel pivots represent H^k
+        cols = image_cols + kernel
+        _, pivots = linalg.row_echelon(linalg.transpose(cols))
+        self._image_basis = [cols[c] for c in pivots if c < len(image_cols)]
+        self.basis = [cols[c] for c in pivots if c >= len(image_cols)]
+        if degree == 2 and self.dim == 1:
             try:
                 cycle = fundamental_two_cycle(nerve)
             except NerveError:
-                cycle = None
-            if cycle is not None:
-                pairing = sum(
-                    (cycle.get(s, ZERO) * basis[0][i] for i, s in enumerate(self.simplices)),
-                    ZERO,
-                )
-                if not pairing.is_zero():
-                    inv = ONE / pairing
-                    self.basis = [[x * inv for x in basis[0]]]
-                    self._cycle = cycle
+                cycle = {}
+            pairing = sum((c * self.basis[0][self.simplices.index(s)] for s, c in cycle.items()), ZERO)
+            if not pairing.is_zero():
+                self.basis = [[x / pairing for x in self.basis[0]]]
 
     @property
     def dim(self) -> int:

@@ -403,12 +403,7 @@ def _cover_paths() -> Tuple[Dict[Edge, complex], Dict[Tri, complex], Dict[Tuple[
 
 
 def _singularities(g: RationalFunction) -> List[complex]:
-    out = []
-    for poly in (g.num, g.den):
-        if poly.degree >= 1:
-            for root, _ in linear_roots(poly):
-                out.append(root.to_complex())
-    return out
+    return [root.to_complex() for poly in (g.num, g.den) for root, _ in linear_roots(poly)]
 
 
 def sphere_point_transitions(point, component: Optional[str] = None) -> TransitionData:

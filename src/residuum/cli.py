@@ -147,9 +147,9 @@ def cmd_pluriharm(args) -> int:
         return 0
     if args.action == "grid":
         x0, x1, y0, y1 = (float(p) for p in args.window.split(","))
-        field = PluriharmonicField(pair)
+        rows = PluriharmonicField(pair).grid((x0, x1, y0, y1), args.res)
         print("x,y,h")
-        for x, y, h in field.grid((x0, x1, y0, y1), args.res):
+        for x, y, h in rows:
             print(f"{x:.15g},{y:.15g},{h:.15g}")
         return 0
     if args.action == "audit":

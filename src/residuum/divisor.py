@@ -39,9 +39,6 @@ class CDivisor:
     def as_dict(self) -> Dict[str, ExactComplex]:
         return dict(zip(self.components, self.coefficients))
 
-    def coefficient(self, name: str) -> ExactComplex:
-        return self.as_dict().get(name, ZERO)
-
     def coefficient_sum(self) -> ExactComplex:
         total = ZERO
         for a in self.coefficients:

@@ -216,12 +216,11 @@ class TorusModel:
 
     def prescribe(self, divisor: CDivisor) -> EllipticForm:
         """zeta-combination carrying the divisor, whose coefficients must
-        sum to zero within 1e-12."""
+        sum to zero within 1e-12 relative to their size."""
         coeffs = [a.to_complex() for a in divisor.coefficients]
-        total = sum(coeffs, 0j)
-        if abs(total) > tor.RESIDUE_SUM_TOL:
+        if not tor.sums_to_zero(coeffs):
             raise ModelError(
-                f"residue coefficients sum to {total:.3e}; no closed meromorphic "
+                f"residue coefficients sum to {sum(coeffs, 0j):.3e}; no closed meromorphic "
                 "1-form on the torus can carry this divisor"
             )
         points = [self.parse_point(name) for name in divisor.components]
@@ -301,7 +300,7 @@ def second_kind(model: Model, p, order: int) -> Form:
 
 def prescribe_residues(model: Model, divisor: CDivisor) -> Form:
     """Form with the prescribed residue divisor (coefficients sum to zero:
-    exactly on the sphere, within 1e-12 on the torus)."""
+    exactly on the sphere, within 1e-12 relative to their size on the torus)."""
     return model.prescribe(divisor)
 
 

@@ -133,10 +133,6 @@ class Path:
     def end(self) -> complex:
         return self.pieces[-1].end()
 
-    @property
-    def is_loop(self) -> bool:
-        return self.offset is not None
-
     def reversed(self) -> "Path":
         rev = []
         for p in reversed(self.pieces):

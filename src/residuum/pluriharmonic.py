@@ -212,7 +212,7 @@ class PluriharmonicField:
 
     def grid(self, window: Tuple[float, float, float, float], res: int) -> List[Tuple[float, float, float]]:
         """CSV-ready rows (x, y, h) over an res x res grid; pole-adjacent
-        points are skipped."""
+        points are skipped, and a pair that is not self-conjugate raises."""
         x0, x1, y0, y1 = window
         rows = []
         for y in np.linspace(y0, y1, res):
@@ -220,7 +220,7 @@ class PluriharmonicField:
                 z = complex(x, y)
                 try:
                     rows.append((float(x), float(y), self.real_value(z)))
-                except (GardenError, PairError):
+                except GardenError:
                     continue
         return rows
 

@@ -2,25 +2,29 @@
 
 Coefficients are ExactComplex, constant term first.  Arithmetic, gcd and
 Taylor manipulation are implemented directly (the field makes monic Euclid
-trivial); splitting a denominator into linear factors is delegated to
-sympy's Gaussian-rational factorizer.  Poles that do not lie in Q(i) cannot
-be represented exactly and raise `IrrationalPoleError`.
+trivial).  Roots are located numerically and kept only when exact
+evaluation confirms them (`linear_roots`); poles that do not lie in Q(i)
+cannot be represented exactly and raise `IrrationalPoleError`.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
-import sympy
-from sympy import QQ_I
 
-from .exact import ExactComplex, ONE, ZERO
+from .exact import ExactComplex, ONE, ZERO, format_exact
 
 
 class IrrationalPoleError(ValueError):
     """A denominator factor has no roots in Q(i)."""
+
+
+class RootPrecisionError(ValueError):
+    """A factor's roots could not be isolated within the precision cap."""
 
 
 class Polynomial:
@@ -195,53 +199,67 @@ def squarefree_decomposition(p: Polynomial) -> List[Tuple[Polynomial, int]]:
     return out
 
 
-_Z = sympy.symbols("z")
+def _numeric_roots(p: Polynomial) -> List[complex]:
+    """Double-precision roots of a monic p: 2^e times those of p(2^e w) / 2^(e n),
+    with 2^e near the nonzero roots' geometric mean so that the coefficients
+    stay in double range; none where they cannot."""
+    j, low = next((j, c) for j, c in enumerate(p.coeffs) if c)
+    size = abs(low.re) + abs(low.im)  # about the product of the nonzero roots
+    e = (size.numerator.bit_length() - size.denominator.bit_length()) // max(p.degree - j, 1)
+    try:
+        coeffs = [(c * Fraction(2) ** (e * (k - p.degree))).to_complex() for k, c in enumerate(p.coeffs)]
+        found = [complex(w) * 2.0 ** e for w in np.roots(coeffs[::-1])]
+    except OverflowError:
+        return []
+    return [x for x in found if cmath.isfinite(x)]
 
 
-def _to_sympy(p: Polynomial):
-    def conv(c: ExactComplex):
-        return QQ_I.convert(c.re) + QQ_I.convert(c.im) * QQ_I.convert(sympy.I)
-
-    return sympy.Poly.from_list([conv(c) for c in reversed(p.coeffs)], _Z, domain=QQ_I)
-
-
-def _from_sympy_root(lin) -> ExactComplex:
-    # monic linear sympy poly z + c => root -c
-    c1, c0 = lin.all_coeffs()
-    root = sympy.nsimplify(-c0 / c1)
-    re, im = root.as_real_imag()
-    return ExactComplex(Fraction(sympy.Rational(re)), Fraction(sympy.Rational(im)))
+def _double_grid(work: Polynomial, scale: int) -> List[Tuple[int, int]]:
+    """Gaussian integers nearest to scale * x for double-precision roots x of `work`."""
+    return [(round(scale * Fraction(x.real)), round(scale * Fraction(x.imag)))
+            for x in _numeric_roots(work)]
 
 
-_SNAP_DENOMINATOR = 10**6
+def _certified_grid(work: Polynomial, scale: int) -> List[Tuple[int, int]]:
+    """`_double_grid` with every root of `work` in (1/scale) Z[i] among the
+    results: Durand-Kerner precision doubles until (n + 1) err scale < 1/4,
+    putting each root within 1/(4 scale) of one approximation (Smith's bound),
+    up to a cap that grows with degree and height as separation bounds do."""
+    import mpmath  # only input that double precision cannot split gets here
 
-
-def _snap_roots(p: Polynomial) -> Optional[List[ExactComplex]]:
-    """Try to split a squarefree polynomial into exact Q(i) roots by snapping
-    numpy roots to nearby Gaussian rationals and verifying exactly (with
-    exact deflation).  Returns None when any root refuses to snap."""
-    work = p.monic()
-    roots: List[ExactComplex] = []
-    numeric = np.roots([c.to_complex() for c in reversed(work.coeffs)])
-    for x in sorted(numeric, key=lambda v: (v.real, v.imag)):
-        cand = ExactComplex(
-            Fraction(float(x.real)).limit_denominator(_SNAP_DENOMINATOR),
-            Fraction(float(x.imag)).limit_denominator(_SNAP_DENOMINATOR),
-        )
-        if work.eval(cand).is_zero():
-            roots.append(cand)
-            work = work.divmod(Polynomial([-cand, ONE]))[0]
-    return roots if work.degree == 0 else None
+    ctx = mpmath.MPContext()
+    n = work.degree
+    ints = [(int(c.re * scale), int(c.im * scale)) for c in reversed(work.coeffs)]
+    height = max(max(abs(a), abs(b)) for a, b in ints).bit_length()
+    cap = 2 * n * (height + n.bit_length()) + 128
+    prec = height + 64  # holds every coefficient exactly
+    guess = _numeric_roots(work) or None
+    while True:
+        ctx.prec = prec
+        try:
+            guess, err = ctx.polyroots([ctx.mpc(a, b) for a, b in ints], maxsteps=50 + 10 * n,
+                                       extraprec=prec, error=True, roots_init=guess)
+        except ctx.NoConvergence:
+            pass  # retry from the same start at the next precision
+        else:
+            if (n + 1) * err * scale < 0.25:
+                return [(int(ctx.nint(scale * x.real)), int(ctx.nint(scale * x.imag)))
+                        for x in map(ctx.mpc, guess)]
+        if prec >= cap:
+            raise RootPrecisionError(
+                f"cannot isolate the roots of a degree-{n} factor within {cap} bits of precision"
+            )
+        prec = min(2 * prec, cap)
 
 
 def linear_roots(p: Polynomial) -> List[Tuple[ExactComplex, int]]:
     """All roots with multiplicity; raises IrrationalPoleError unless the
     polynomial splits into linear factors over Q(i).
 
-    Fast path: exact squarefree decomposition, then numerically located
-    roots snapped to Q(i) and verified by exact evaluation.  Slow path for
-    anything the snap misses: sympy factorization over the Gaussian
-    rationals.
+    A monic squarefree factor times the lcm L of its coefficient denominators
+    lies in Z[i][z] with leading coefficient L, so its roots in Q(i) lie in
+    (1/L) Z[i]: numeric roots rounded to that grid and confirmed exactly split
+    it, in double and then in certified precision, or nothing can.
     """
     if p.degree < 1:
         return []
@@ -249,19 +267,21 @@ def linear_roots(p: Polynomial) -> List[Tuple[ExactComplex, int]]:
         return [(-p.coeffs[0] / p.coeffs[1], 1)]
     roots: List[Tuple[ExactComplex, int]] = []
     for factor, mult in squarefree_decomposition(p):
-        snapped = _snap_roots(factor)
-        if snapped is not None:
-            roots.extend((r, mult) for r in snapped)
-            continue
-        _, sub = _to_sympy(factor).factor_list()
-        for fac, m2 in sub:
-            if fac.degree() == 0:
-                continue
-            if fac.degree() != 1:
-                raise IrrationalPoleError(
-                    f"factor of degree {fac.degree()} has no roots in Q(i): {fac.as_expr()}"
-                )
-            roots.append((_from_sympy_root(fac), mult * int(m2)))
+        rest = factor
+        for locate in (_double_grid, _certified_grid):
+            if rest.degree < 1:
+                break
+            scale = math.lcm(*(q.denominator for c in rest.coeffs for q in (c.re, c.im)))
+            for a, b in locate(rest, scale):
+                r = ExactComplex(Fraction(a, scale), Fraction(b, scale))
+                if rest.degree >= 1 and rest.eval(r).is_zero():
+                    roots.append((r, mult))
+                    rest = rest.divmod(Polynomial([-r, ONE]))[0]
+        if rest.degree >= 1:
+            raise IrrationalPoleError(
+                f"factor of degree {rest.degree} has no roots in Q(i): "
+                f"{', '.join(format_exact(c) for c in rest.coeffs)} (constant first)"
+            )
     roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
     return roots
 

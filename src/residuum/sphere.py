@@ -17,6 +17,10 @@ from .exact import ExactComplex, ONE, ZERO, _lines, format_exact, parse_exact
 from .rational import Polynomial, RationalFunction, laurent_coefficient
 
 
+# bounds the work of gcd, Yun and certified root location on a form file
+MAX_DEGREE = 64
+
+
 class SphereError(ValueError):
     pass
 
@@ -293,9 +297,14 @@ def parse_form_text(text: str) -> RationalForm:
             raise SphereError("empty coefficient list")
         return [parse_exact(p) for p in chunk.split(",")]
 
-    num = coeffs(parts[0])
-    den = coeffs(parts[1]) if len(parts) == 2 else [ONE]
-    return RationalForm.from_coeffs(num, den)
+    num = Polynomial(coeffs(parts[0]))
+    den = Polynomial(coeffs(parts[1]) if len(parts) == 2 else [ONE])
+    if den.is_zero():
+        raise SphereError("zero denominator")
+    for name, poly in (("numerator", num), ("denominator", den)):
+        if poly.degree > MAX_DEGREE:
+            raise SphereError(f"{name} degree {poly.degree} exceeds {MAX_DEGREE}")
+    return RationalForm(RationalFunction(num, den))
 
 
 def format_form_text(form: RationalForm) -> str:

@@ -111,12 +111,25 @@ class Torus:
 
     # -- lattice geometry -------------------------------------------------
 
-    def _reduce(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """z = z0 + m + n tau elementwise, with z0 = s + t tau, s, t in [0, 1)."""
+    def _cell_coords(self, z):
+        """(s, t) with z = s + t tau."""
         t = z.imag / self.tau.imag
-        n = np.floor(t)
-        m = np.floor(z.real - t * self.tau.real)
-        return z - m - n * self.tau, m, n
+        return z.real - t * self.tau.real, t
+
+    def _reduce(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """z = z0 + m + n tau elementwise, with z0 = s + t tau and s, t in
+        [0, 1) as computed, so z0 reduces to itself: a translate rounded past
+        the cell edge moves onto it by its rounding error (s or t set to 0)."""
+        s, t = self._cell_coords(z)
+        m, n = np.floor(s), np.floor(t)
+        z0 = z - m - n * self.tau
+        s0, t0 = self._cell_coords(z0)
+        if np.floor(s0).any() or np.floor(t0).any():
+            off_s, off_t = np.floor(s0) != 0, np.floor(t0) != 0
+            m, n = m + np.where(off_s, np.round(s0), 0.0), n + np.where(off_t, np.round(t0), 0.0)
+            s0, t0, y0 = (np.where(off, 0.0, v) for off, v in ((off_s, s0), (off_t, t0), (off_t, z0.imag)))
+            z0 = np.where(off_s | off_t, s0 + t0 * self.tau.real + 0.0 + 1j * y0, z0)
+        return z0, m, n
 
     def _lattice_gap(self, z0: np.ndarray) -> np.ndarray:
         """Distance from reduced points to the nearest lattice point."""
@@ -200,6 +213,11 @@ class Torus:
 RESIDUE_SUM_TOL = 1e-12
 
 
+def sums_to_zero(coeffs: Sequence[complex]) -> bool:
+    """Relative zero-sum test, which large coefficients pass in any summation order."""
+    return abs(sum(coeffs, 0j)) <= RESIDUE_SUM_TOL * max(1.0, sum(map(abs, coeffs)))
+
+
 @dataclass(frozen=True)
 class EllipticForm:
     """Closed meromorphic 1-form on a torus:
@@ -223,13 +241,12 @@ class EllipticForm:
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "log_terms", logs)
         object.__setattr__(self, "second_terms", tuple(seconds))
-        if self.validate:
-            total = sum((r for _, r in logs), 0j)
-            if abs(total) > RESIDUE_SUM_TOL:
-                raise TorusError(
-                    f"zeta-term coefficients sum to {total:.3e}; the combination "
-                    "is not doubly periodic"
-                )
+        coeffs = [r for _, r in logs]
+        if self.validate and not sums_to_zero(coeffs):
+            raise TorusError(
+                f"zeta-term coefficients sum to {sum(coeffs, 0j):.3e}; the combination "
+                "is not doubly periodic"
+            )
 
     # -- structure ---------------------------------------------------------
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from residuum import linalg
 from residuum.cech import (
     Cochain,
     CochainError,
@@ -219,3 +221,58 @@ def test_cochain_text_roundtrip():
     text = format_cochain_text(sigma)
     again = parse_cochain_text(text)
     assert again.degree == 1 and again.values == sigma.values
+
+
+# -- basis choice against the greedy-rank reference -------------------------------
+
+
+def greedy_rank_basis(nerve, degree):
+    """(image basis, H^k basis) grown one column at a time, keeping a
+    column only when it raises the rank of those kept before it."""
+    n = len(nerve.k_simplices(degree))
+    d_k = coboundary_matrix(nerve, degree)
+    kernel = linalg.nullspace(d_k, n_cols=n) if d_k else \
+        [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+    d_prev = coboundary_matrix(nerve, degree - 1) if degree > 0 else []
+    image_cols = linalg.transpose(d_prev) if d_prev else []
+    chosen, basis = [], []
+    for k, col in enumerate(image_cols + kernel):
+        if linalg.rank(chosen + [col]) > len(chosen):
+            chosen.append(col)
+            if k >= len(image_cols):
+                basis.append(col)
+    return chosen[: len(chosen) - len(basis)], basis
+
+
+def assert_matches_greedy(nerve, degree):
+    space = CohomologySpace(nerve, degree)
+    image, basis = greedy_rank_basis(nerve, degree)
+    assert space._image_basis == image
+    assert len(space.basis) == len(basis)
+    for got, want in zip(space.basis, basis):
+        # H^2 of a closed surface is rescaled to pair to 1 with its cycle
+        lead = next(i for i, w in enumerate(want) if not w.is_zero())
+        scale = got[lead] / want[lead]
+        assert got == [w * scale for w in want]
+        assert degree == 2 or scale == ONE
+
+
+@pytest.mark.parametrize("tag", ["sphere", "torus"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_cohomology_basis_matches_greedy_rank_standard(tag, degree):
+    assert_matches_greedy(standard_good_nerves(tag), degree)
+
+
+@st.composite
+def random_nerves(draw):
+    n = draw(st.integers(3, 6))
+    triangles = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=3, max_size=3), max_size=6))
+    edges = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=2), max_size=6))
+    simplices = [tuple(sorted(s)) for s in triangles + edges]
+    return validate_nerve(simplices, vertex_count=n, maximal=True)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(random_nerves(), st.integers(1, 2))
+def test_cohomology_basis_matches_greedy_rank_random(nerve, degree):
+    assert_matches_greedy(nerve, degree)

@@ -200,3 +200,46 @@ def test_residuum_tol_env(tmp_path, capsys, monkeypatch):
     # absurdly tight tolerance makes the audit gate fail
     monkeypatch.setenv("RESIDUUM_TOL", "1e-30")
     assert main(["pluriharm", "audit", "--pair", pair_file, "--loops", "4"]) == 4
+
+
+def test_pluriharm_grid_not_self_conjugate_exit2(tmp_path, capsys):
+    # the long periods of this pair are not purely imaginary, so h is not real
+    garden = write(tmp_path, "g.garden", "model torus\ntau = 3/10 + 11/10 i\ncomponent 0\ncomponent 1/2\n")
+    div = write(tmp_path, "d.div", "0 : 1\n1/2 : -1\n")
+    form = str(tmp_path / "f.form")
+    pair = str(tmp_path / "p.pair")
+    assert main(["prescribe", "--model", "torus", "--divisor", div, "--tau", "3/10 + 11/10 i", "--out", form]) == 0
+    assert main(["pluriharm", "build", "--garden", garden, "--form", form, "--out", pair]) == 0
+    capsys.readouterr()
+    assert main(["pluriharm", "eval", "--pair", pair, "--at", "1/2 + 1/2 i"]) == 2
+    capsys.readouterr()
+    assert main(["pluriharm", "grid", "--pair", pair, "--window=0.1,0.9,0.1,0.9", "--res", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: imaginary residue") and err.count("\n") == 1
+
+
+def test_decompose_degree_bound_exit2(tmp_path, capsys):
+    from residuum.sphere import MAX_DEGREE
+
+    at_bound = write(tmp_path, "ok.form", "1 / " + ", ".join(["1"] + ["0"] * (MAX_DEGREE - 1) + ["1"]) + "\n")
+    over = write(tmp_path, "big.form", "1 / " + ", ".join(["1"] + ["0"] * MAX_DEGREE + ["1"]) + "\n")
+    assert main(["decompose", "--form", over]) == 2
+    assert capsys.readouterr() == ("", f"error: denominator degree {MAX_DEGREE + 1} exceeds {MAX_DEGREE}\n")
+    # z^64 + 1 has no root in Q(i): rejected only after certified rounding
+    assert main(["decompose", "--form", at_bound]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: factor of degree {MAX_DEGREE} has no roots in Q(i)")
+
+
+def test_decompose_zero_denominator_exit2(tmp_path, capsys):
+    form = write(tmp_path, "zero.form", "1 / 0\n")
+    assert main(["decompose", "--form", form]) == 2
+    assert capsys.readouterr() == ("", "error: zero denominator\n")
+
+
+def test_prescribe_torus_large_residues_sum_to_zero_relatively(tmp_path, capsys):
+    # exact sum 0; the float sum is 2.3e-10, above an absolute 1e-12
+    div = write(tmp_path, "d.div", "0 : 699642.631\n1/2 : 407608.742\n1/2 i : -1107251.373\n")
+    assert main(["prescribe", "--model", "torus", "--divisor", div, "--tau", "0.3 + 1.1 i"]) == 0
+    assert capsys.readouterr().out.startswith("torus-form\n")

@@ -1,9 +1,14 @@
 import random
+import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from residuum import rational
+from residuum.cli import main
 from residuum.exact import ExactComplex, I, ONE, ZERO
 from residuum.rational import (
     IrrationalPoleError,
@@ -138,3 +143,95 @@ def test_laurent_coefficient():
     assert laurent_coefficient(h, ONE, 0) == ONE
     assert laurent_coefficient(h, ONE, 1) == ExactComplex(2)
     assert laurent_coefficient(h, ONE, 2) == ONE
+
+
+# -- certified root location ---------------------------------------------------
+
+denominators = st.integers(1, 10**7)
+gaussian_rationals = st.builds(
+    lambda a, b, c, d: ExactComplex(Fraction(a, b), Fraction(c, d)),
+    st.integers(-10**7, 10**7), denominators, st.integers(-10**7, 10**7), denominators,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.dictionaries(gaussian_rationals, st.integers(1, 3), min_size=1, max_size=4))
+def test_linear_roots_recovers_products_of_gaussian_rational_factors(roots):
+    p = P(1)
+    for r, m in roots.items():
+        p = p * P(-r, 1).power(m)
+    assert linear_roots(p) == sorted(roots.items(), key=lambda rm: (rm[0].re, rm[0].im))
+
+
+def test_clustered_sevenths_take_the_certified_path(monkeypatch):
+    # a_n = 7^12 ~ 1.4e10: double-precision roots cannot round onto the grid
+    calls = []
+    certified = rational._certified_grid
+    monkeypatch.setattr(
+        rational, "_certified_grid", lambda *args: calls.append(args) or certified(*args)
+    )
+    p = P(1)
+    for k in range(1, 13):
+        p = p * P(ExactComplex(Fraction(-k, 7)), 1)
+    assert linear_roots(p) == [(ExactComplex(Fraction(k, 7)), 1) for k in range(1, 13)]
+    assert calls
+
+
+def test_linear_roots_large_prime_denominator():
+    # beyond the reach of a 10^6 continued-fraction snap
+    r = ExactComplex(Fraction(1, 1000003))
+    assert linear_roots(P(-2, 1) * P(-r, 1)) == [(r, 1), (ExactComplex(2), 1)]
+
+
+@pytest.mark.parametrize(
+    "poly, rest",
+    [
+        (P(-2, 0, 1), "-2, 0, 1"),
+        (P(-I, 0, 1), "-i, 0, 1"),
+        (P("-1/3", 1) * P(-2, 0, 1), "-2, 0, 1"),
+    ],
+    ids=["z2-2", "z2-i", "third-times-z2-2"],
+)
+def test_irrational_factor_names_the_unsplit_rest(poly, rest):
+    with pytest.raises(IrrationalPoleError, match=f"degree 2 has no roots in Q\\(i\\): {rest} "):
+        linear_roots(poly)
+
+
+def write_form(tmp_path, text):
+    path = tmp_path / "f.form"
+    path.write_text(text)
+    return str(path)
+
+
+def test_decompose_irrational_denominator_exit2(tmp_path, capsys):
+    assert main(["decompose", "--form", write_form(tmp_path, "1 / -2, 0, 1\n")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: factor of degree 2 has no roots in Q(i): -2, 0, 1 (constant first)\n"
+
+
+def test_decompose_coefficients_beyond_double_range(tmp_path, capsys):
+    # z^2 + 10^400: located after scaling z by a power of two
+    assert main(["decompose", "--form", write_form(tmp_path, "1 / 1e400, 0, 1\n")]) == 0
+    assert capsys.readouterr().out.startswith("log: ")
+
+
+def test_decompose_without_convergence_exit2(tmp_path, capsys, monkeypatch):
+    def never_converges(ctx, *args, **kwargs):
+        raise ctx.NoConvergence("no convergence")
+
+    monkeypatch.setattr(mpmath.MPContext, "polyroots", never_converges)
+    den = P(1)
+    for k in range(1, 13):
+        den = den * P(ExactComplex(Fraction(-k, 7)), 1)
+    text = "1 / " + ", ".join(str(c) for c in den.coeffs) + "\n"
+    assert main(["decompose", "--form", write_form(tmp_path, text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: cannot isolate the roots of a degree-\d+ factor within \d+ bits of precision\n", err)
+
+
+def test_linear_roots_below_double_resolution():
+    # 1/scale = 1e-400 is far below double spacing: only the certified path splits this
+    r = ExactComplex(Fraction(1, 10**200))
+    assert linear_roots(P(-r, 1) * P(r, 1)) == [(-r, 1), (r, 1)]

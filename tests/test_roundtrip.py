@@ -2,19 +2,13 @@
 share the line reader and the lossless float formatter (garden files,
 torus-form files, sphere-form files).
 
-Torus points are compared modulo the lattice: a point whose reduction
-rounds onto the far edge of the fundamental cell reduces to the opposite
-edge when read back, so its text is not a fixed point (5.4e-33 i and
-1 + 5.4e-33 i alternate for tau = 0.1 + 0.6 i).
-
-Zeta coefficients stay below 100 in size: the text lists them sorted by
-pole, the reader re-sums them in that order, and the zero-sum check has an
-absolute 1e-12 tolerance, which rounding in another order can exceed once
-they reach about 1e4 (`test_large_zeta_coefficients_fail_to_reload`).
+Torus points are compared exactly: the reduction to the fundamental cell
+is idempotent, so a point written by residuum reads back to the same
+name.  Zeta coefficients range up to 1e6 in size: the zero-sum check is
+relative to their size, so re-summing them in text order passes.
 """
 
-import pytest
-
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -32,8 +26,6 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 exacts = st.builds(ExactComplex, rationals, rationals)
 floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 complexes = st.builds(complex, floats, floats)
-small = st.floats(-100, 100, allow_nan=False)
-residues = st.builds(complex, small, small)
 cell_points = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
 
 
@@ -48,23 +40,10 @@ def sphere_forms(draw):
 @st.composite
 def torus_forms(draw):
     torus = TORI[draw(st.sampled_from(sorted(TORI, key=lambda t: (t.real, t.imag))))]
-    coeffs = draw(st.lists(residues, max_size=3))
+    coeffs = draw(st.lists(complexes, max_size=3))
     logs = [(draw(cell_points), r) for r in coeffs + [-sum(coeffs, 0j)] if coeffs]
     seconds = draw(st.lists(st.tuples(cell_points, st.integers(2, 5), complexes), max_size=2))
     return EllipticForm(torus, draw(complexes), tuple(logs), tuple(seconds))
-
-
-def assert_same_terms(torus, terms, expected):
-    """Equal multisets of (point modulo the lattice, data) terms."""
-    rest = list(expected)
-    for p, *data in terms:
-        for i, (q, *d) in enumerate(rest):
-            if d == data and torus.translate_distance(p, q) < 1e-12:
-                del rest[i]
-                break
-        else:
-            raise AssertionError(f"term {(p, *data)} not in {expected}")
-    assert not rest
 
 
 @SETTINGS
@@ -82,8 +61,8 @@ def test_torus_form_text_roundtrip(form):
     model = TorusModel(form.torus)
     back = model.parse_form(model.format_form(form))
     assert back.c0 == form.c0
-    assert_same_terms(form.torus, back.log_terms, form.log_terms)
-    assert_same_terms(form.torus, back.second_terms, form.second_terms)
+    assert Counter(back.log_terms) == Counter(form.log_terms)
+    assert Counter(back.second_terms) == Counter(form.second_terms)
 
 
 def garden_roundtrip(garden):
@@ -91,7 +70,7 @@ def garden_roundtrip(garden):
     back = parse_garden_text(text)
     assert back.model.header_lines() == garden.model.header_lines()
     assert len(back.components) == len(garden.components)
-    assert all(map(garden.model.same_point, back.components, garden.components))
+    assert back.component_names == garden.component_names
     assert back.basepoint == garden.basepoint
     return text, back
 
@@ -115,10 +94,10 @@ def test_torus_garden_text_roundtrip(tau, points):
     garden_roundtrip(garden)
 
 
-@pytest.mark.xfail(strict=True, reason="absolute zero-sum tolerance vs re-summing in text order")
-def test_large_zeta_coefficients_fail_to_reload():
+def test_large_zeta_coefficients_reload():
     torus = TORI[-0.4 + 0.9j]
     logs = ((0j, 1j), (0.4 + 0.1j, 131071.45023355215j), (0.3 + 0.2j, -131072.45023355214j))
     form = EllipticForm(torus, 0j, logs)
     model = TorusModel(torus)
-    model.parse_form(model.format_form(form))
+    back = model.parse_form(model.format_form(form))
+    assert Counter(back.log_terms) == Counter(form.log_terms)

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residuum.torus import (
     EllipticForm,
@@ -169,3 +170,24 @@ def test_parse_torus_text():
     assert abs(t.tau - TAU) < 1e-15 and t.cutoff == 12
     with pytest.raises(TorusError):
         parse_torus_text("cutoff = 10\n")
+
+
+edge = st.sampled_from([0.0, -0.0, 5.37e-33, -5.37e-33, 1e-17, -1e-17, 1.0, 1 - 2**-53, -1.0])
+offsets = st.one_of(edge, st.floats(-3, 3))
+
+
+def test_reduce_point_keeps_cell_edge_points():
+    torus = Torus(0.1 + 0.6j)
+    for z in (5.37e-33j, 1 + 5.37e-33j):
+        z0 = torus.reduce_point(z)[0]
+        assert torus.reduce_point(z0) == (z0, 0, 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([0.1 + 0.6j, 0.3 + 1.1j, -0.4 + 0.9j]), offsets, offsets, st.integers(-2, 2), st.integers(-2, 2))
+def test_reduce_point_is_idempotent(tau, s, t, m, n):
+    torus = Torus(tau)
+    z = complex(s + m, 0) + (t + n) * tau
+    z0, m0, n0 = torus.reduce_point(z)
+    assert torus.reduce_point(z0) == (z0, 0, 0)
+    assert abs(z0 + m0 + n0 * tau - z) < 1e-14 * (1 + abs(z))
