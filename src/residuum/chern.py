@@ -232,9 +232,6 @@ class HodgeRecord:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
-    def is_consistent(self) -> bool:
-        return self.b1 <= self.d_omega0 + self.h01
-
 
 def has_property_h(record: HodgeRecord) -> bool:
     """Equality of b1 with dim H^0(d O) + dim H^1(O)."""

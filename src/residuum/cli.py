@@ -241,6 +241,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except QuadratureError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    except OverflowError as e:  # a number too large for the float numerics
+        print(f"error: number out of floating-point range ({e})", file=sys.stderr)
+        return 2
     except ValueError as e:  # every input error class derives from ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

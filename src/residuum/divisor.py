@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import ExactComplex, ZERO, _lines, format_exact, parse_exact
+from .exact import ExactComplex, ZERO, _lines, parse_exact
 
 
 class DivisorError(ValueError):
@@ -89,11 +89,3 @@ def parse_divisor_text(text: str) -> CDivisor:
         return CDivisor.from_pairs(pairs)
     except DivisorError as e:
         raise DivisorError(str(e)) from None
-
-
-def format_divisor_text(divisor: CDivisor) -> str:
-    lines = [
-        f"{name} : {format_exact(coeff)}"
-        for name, coeff in zip(divisor.components, divisor.coefficients)
-    ]
-    return "\n".join(lines) + "\n"

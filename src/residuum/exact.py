@@ -210,7 +210,11 @@ def parse_exact(text: str) -> ExactComplex:
         if m.group("ibare"):
             coeff, imaginary = Fraction(1), True
         else:
-            coeff, imaginary = Fraction(m.group("coeff")), bool(m.group("iflag"))
+            try:
+                coeff = Fraction(m.group("coeff"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
+            imaginary = bool(m.group("iflag"))
         if imaginary:
             if im_part is not None:
                 raise ValueError(f"repeated imaginary term in {text!r}")

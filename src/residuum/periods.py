@@ -39,8 +39,16 @@ def short_period_from_residue(residue: complex) -> complex:
 
 
 def period_tolerance() -> float:
-    """Numerical-zero threshold for period vectors (RESIDUUM_TOL override)."""
-    return float(os.environ.get("RESIDUUM_TOL", "1e-8"))
+    """Numerical-zero threshold for period vectors (RESIDUUM_TOL override,
+    which must be a finite positive number)."""
+    raw = os.environ.get("RESIDUUM_TOL", "1e-8")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ValueError(f"RESIDUUM_TOL must be a finite positive number, got {raw!r}")
+    return tol
 
 
 class PathError(ValueError):
@@ -442,7 +450,8 @@ def short_period_vector(
     for j, comp in enumerate(garden.components):
         loop, at_infinity = _component_circle(garden, j)
         expected = short_period_from_residue(model.residue(form, comp))
-        target = form.at_infinity_chart() if at_infinity else form
+        # the circle around infinity lies in the w = 1/z chart: f(z) dz = -f(1/w) / w^2 dw
+        target = (lambda w: -form.eval_complex(1.0 / w) / w**2) if at_infinity else form
         quad = contour_integral(target, loop, tol)
         if abs(quad - expected) > RESIDUE_AGREE_TOL:
             raise QuadratureError(

@@ -41,6 +41,11 @@ from .periods import (
 )
 
 
+# each grid point is an adaptive path integral, each audit loop one more
+MAX_GRID_RES = 100
+MAX_AUDIT_LOOPS = 1000
+
+
 class PairError(ValueError):
     pass
 
@@ -213,6 +218,8 @@ class PluriharmonicField:
     def grid(self, window: Tuple[float, float, float, float], res: int) -> List[Tuple[float, float, float]]:
         """CSV-ready rows (x, y, h) over an res x res grid; pole-adjacent
         points are skipped, and a pair that is not self-conjugate raises."""
+        if not 1 <= res <= MAX_GRID_RES:
+            raise PairError(f"grid resolution {res} is outside [1, {MAX_GRID_RES}]")
         x0, x1, y0, y1 = window
         rows = []
         for y in np.linspace(y0, y1, res):
@@ -308,6 +315,8 @@ def audit_loops(garden: Garden, n_random: int, seed: int = 0) -> List[Path]:
 def well_definedness_audit(pair: Pair, n_random_loops: int = 20, seed: int = 0) -> float:
     """Maximum |loop integral of the pair| over the audit loop family;
     single-valuedness means this stays below the period tolerance."""
+    if not 0 <= n_random_loops <= MAX_AUDIT_LOOPS:
+        raise PairError(f"random audit loop count {n_random_loops} is outside [0, {MAX_AUDIT_LOOPS}]")
     worst = 0.0
     for loop in audit_loops(pair.garden, n_random_loops, seed):
         worst = max(worst, abs(pair.integral(loop)))

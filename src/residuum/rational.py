@@ -5,6 +5,9 @@ Taylor manipulation are implemented directly (the field makes monic Euclid
 trivial).  Roots are located numerically and kept only when exact
 evaluation confirms them (`linear_roots`); poles that do not lie in Q(i)
 cannot be represented exactly and raise `IrrationalPoleError`.
+
+Sphere forms use gcd and root splitting only when a `P / Q` is read;
+`laurent_coefficient` is the reference their principal parts are tested against.
 """
 
 from __future__ import annotations
@@ -344,41 +347,14 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def scale(self, a) -> "RationalFunction":
-        return RationalFunction(self.num.scale(a), self.den)
-
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
 
-    def eval(self, z: ExactComplex) -> ExactComplex:
-        d = self.den.eval(z)
-        if d.is_zero():
-            raise ZeroDivisionError(f"pole at {z}")
-        return self.num.eval(z) / d
-
     def eval_complex(self, z):
         return self.num.eval_complex(z) / self.den.eval_complex(z)
-
-    def pole_multiplicity(self, p: ExactComplex) -> int:
-        """Order of the pole at finite p (0 if regular there)."""
-        if self.is_zero():
-            return 0
-        mult = 0
-        den = self.den
-        lin = Polynomial([-p, ONE])
-        while True:
-            q, r = den.divmod(lin)
-            if not r.is_zero():
-                return mult
-            mult += 1
-            den = q
-
-    def poles(self) -> List[Tuple[ExactComplex, int]]:
-        """Finite poles with orders (requires a Q(i)-split denominator)."""
-        return linear_roots(self.den)
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

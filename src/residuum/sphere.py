@@ -1,20 +1,20 @@
 """The Riemann sphere model: exact rational 1-forms f(z) dz on P^1.
 
-Residues, including at the point at infinity, come out of exact Laurent
-arithmetic, so the classical residue-sum theorem holds with zero tolerance
-here.  The constructions (simple-pole pair forms, single higher-order
-poles, residue prescription, kind decomposition) all return reduced
-rational forms whose contracts are re-checkable exactly.
+A form is a polynomial part plus, at each finite pole, its principal part
+over Q(i), so poles and residues (infinity included) are exact lookups and
+the residue-sum theorem holds with zero tolerance.  Constructions and
+arithmetic build the parts directly; a form given as P/Q is split once,
+when it is read, and the reduced P/Q is derived for printing and floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .divisor import CDivisor
 from .exact import ExactComplex, ONE, ZERO, _lines, format_exact, parse_exact
-from .rational import Polynomial, RationalFunction, laurent_coefficient
+from .rational import Polynomial, RationalFunction, linear_roots
 
 
 # bounds the work of gcd, Yun and certified root location on a form file
@@ -86,87 +86,124 @@ def parse_sphere_point(text: str) -> SpherePoint:
     return SpherePoint.finite(parse_exact(t))
 
 
+def _linear(p: ExactComplex) -> Polynomial:
+    return Polynomial([-p, ONE])
+
+
+def _taylor(poly: Polynomial, p: ExactComplex, count: int) -> List[ExactComplex]:
+    """The first `count` Taylor coefficients of poly at p."""
+    out, factorial = [], 1
+    for j in range(1, count + 1):
+        out.append(poly.eval(p) / factorial)
+        poly, factorial = poly.derivative(), factorial * j
+    return out
+
+
+def _principal_part(num: Polynomial, den: Polynomial, p: ExactComplex, m: int) -> Tuple[ExactComplex, ...]:
+    """(c_1, ..., c_m) of num/den at a pole p of order m: the first m Taylor
+    coefficients of num / (den / (z - p)^m) at p, in reverse.  For m = 1
+    that is num(p) / den'(p)."""
+    top = _taylor(num, p, m)
+    inv = Polynomial(_taylor(den.divmod(_linear(p).power(m))[0], p, m)).series_inverse(m)
+    return tuple(sum((top[i] * inv[j - i] for i in range(j + 1)), ZERO) for j in reversed(range(m)))
+
+
 class RationalForm:
-    """The 1-form f(z) dz with f an exact rational function."""
+    """The 1-form f(z) dz with f = poly(z) + sum over finite poles p of
+    c_1/(z - p) + ... + c_m/(z - p)^m, stored as `poly` and
+    `parts = {p: (c_1, ..., c_m)}` with c_m != 0."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("poly", "parts", "_fraction")
 
-    def __init__(self, fn: RationalFunction):
-        self.fn = fn
+    def __init__(self, poly: Polynomial, parts: Mapping[ExactComplex, Sequence[ExactComplex]]):
+        self.poly = poly
+        # parts with a nonzero coefficient, trailing zeros trimmed by Polynomial
+        self.parts = {p: Polynomial(cs).coeffs for p, cs in parts.items() if any(cs)}
+        self._fraction: Optional[Tuple[Polynomial, Polynomial]] = None
 
     @staticmethod
     def from_coeffs(num: Sequence, den: Sequence) -> "RationalForm":
-        return RationalForm(RationalFunction(Polynomial(num), Polynomial(den)))
+        """The form num/den (exact coefficients, constant first).  The
+        fraction is reduced and its denominator split over Q(i) here, once;
+        a factor with no roots there raises IrrationalPoleError."""
+        fn = RationalFunction(Polynomial(num), Polynomial(den))
+        parts = {p: _principal_part(fn.num, fn.den, p, m) for p, m in linear_roots(fn.den)}
+        form = RationalForm(fn.num.divmod(fn.den)[0], parts)
+        form._fraction = (fn.num, fn.den)
+        return form
 
     @staticmethod
     def zero() -> "RationalForm":
-        return RationalForm(RationalFunction(Polynomial()))
+        return RationalForm(Polynomial(), {})
 
     def is_zero(self) -> bool:
-        return self.fn.is_zero()
+        return self.poly.is_zero() and not self.parts
 
     def __eq__(self, other):
-        return isinstance(other, RationalForm) and self.fn == other.fn
+        return isinstance(other, RationalForm) and self.poly == other.poly and self.parts == other.parts
 
     def __add__(self, other: "RationalForm") -> "RationalForm":
-        return RationalForm(self.fn + other.fn)
+        # principal parts add like coefficient lists of polynomials in 1/(z - p)
+        parts = dict(self.parts)
+        for p, cs in other.parts.items():
+            parts[p] = (Polynomial(parts.get(p, ())) + Polynomial(cs)).coeffs
+        return RationalForm(self.poly + other.poly, parts)
 
     def __sub__(self, other: "RationalForm") -> "RationalForm":
-        return RationalForm(self.fn - other.fn)
+        return self + other.scale(-ONE)
 
     def scale(self, a) -> "RationalForm":
-        return RationalForm(self.fn.scale(a))
+        a = ExactComplex.coerce(a)
+        return RationalForm(self.poly.scale(a), {p: tuple(a * c for c in cs) for p, cs in self.parts.items()})
+
+    def fraction(self) -> Tuple[Polynomial, Polynomial]:
+        """The reduced P/Q with monic Q: Q = prod (z - p)^m_p and
+        P = poly Q + sum c_k Q/(z - p)^k, coprime because every c_m != 0."""
+        if self._fraction is None:
+            den = Polynomial([ONE])
+            for p, cs in self.parts.items():
+                den = den * _linear(p).power(len(cs))
+            num = self.poly * den
+            for p, cs in self.parts.items():
+                quot = den
+                for c in cs:
+                    quot = quot.divmod(_linear(p))[0]
+                    num = num + quot.scale(c)
+            self._fraction = (num, den)
+        return self._fraction
 
     def eval_complex(self, z):
         """Coefficient function value f(z) at float complex / arrays."""
-        return self.fn.eval_complex(z)
-
-    def at_infinity_chart(self) -> "RationalForm":
-        """Pullback under z = 1/w:  f(z) dz -> -f(1/w) / w^2 dw, exact."""
-        if self.is_zero():
-            return RationalForm.zero()
-        num, den = self.fn.num, self.fn.den
-        rev_num = Polynomial(list(reversed(num.coeffs)))
-        rev_den = Polynomial(list(reversed(den.coeffs)))
-        # f(1/w) = rev_num(w) * w^(deg den - deg num) / rev_den(w)
-        shift = den.degree - num.degree - 2
-        w = Polynomial([ZERO, ONE])
-        if shift >= 0:
-            new_num = rev_num * w.power(shift)
-            new_den = rev_den
-        else:
-            new_num = rev_num
-            new_den = rev_den * w.power(-shift)
-        return RationalForm(RationalFunction(new_num.scale(-ONE), new_den))
+        num, den = self.fraction()
+        return num.eval_complex(z) / den.eval_complex(z)
 
     def pole_order_at(self, point) -> int:
+        """m at a finite pole; at infinity deg(poly) + 2, or 1 when only
+        the residues leave a pole there."""
         point = SpherePoint.coerce(point)
-        if point.is_infinity:
-            return self.at_infinity_chart().fn.pole_multiplicity(ZERO)
-        return self.fn.pole_multiplicity(point.value)
+        if not point.is_infinity:
+            return len(self.parts.get(point.value, ()))
+        if not self.poly.is_zero():
+            return self.poly.degree + 2
+        return 0 if residue_at(self, point).is_zero() else 1
 
     def __repr__(self):
-        return f"RationalForm({self.fn!r})"
+        return f"RationalForm({self.poly!r}, {self.parts!r})"
 
 
 def residue_at(form: RationalForm, point) -> ExactComplex:
-    """Exact Laurent coefficient c_{-1} of the form at the point.
-
-    Regular points give 0; the point at infinity is handled through the
-    w = 1/z chart.
-    """
+    """Exact Laurent coefficient c_{-1} of the form at the point: c_1 of
+    the principal part (0 at a regular point); at infinity, minus the sum
+    of the finite ones."""
     point = SpherePoint.coerce(point)
     if point.is_infinity:
-        return laurent_coefficient(form.at_infinity_chart().fn, ZERO, -1)
-    return laurent_coefficient(form.fn, point.value, -1)
-
-
-def finite_poles(form: RationalForm) -> List[Tuple[SpherePoint, int]]:
-    return [(SpherePoint.finite(p), m) for p, m in form.fn.poles()]
+        return -sum((cs[0] for cs in form.parts.values()), ZERO)
+    return form.parts.get(point.value, (ZERO,))[0]
 
 
 def all_poles(form: RationalForm) -> List[Tuple[SpherePoint, int]]:
-    poles = finite_poles(form)
+    """Finite poles in (re, im) order with their orders, then infinity."""
+    poles = [(SpherePoint.finite(p), len(form.parts[p])) for p in sorted(form.parts, key=lambda p: (p.re, p.im))]
     inf_order = form.pole_order_at(INFINITY)
     if inf_order > 0:
         poles.append((SpherePoint.infinity(), inf_order))
@@ -185,10 +222,7 @@ def residue_divisor(form: RationalForm) -> CDivisor:
 
 def check_residue_theorem(form: RationalForm) -> ExactComplex:
     """Sum of all residues including infinity (always exactly zero)."""
-    total = ZERO
-    for point, _ in all_poles(form):
-        total = total + residue_at(form, point)
-    return total
+    return sum((residue_at(form, point) for point, _ in all_poles(form)), ZERO)
 
 
 def simple_pole_form(p, coeff=ONE) -> RationalForm:
@@ -197,7 +231,7 @@ def simple_pole_form(p, coeff=ONE) -> RationalForm:
     p = SpherePoint.coerce(p)
     if p.is_infinity:
         raise SphereError("a simple pole at infinity has no single-term chart form")
-    return RationalForm.from_coeffs([ExactComplex.coerce(coeff)], [-p.value, ONE])
+    return RationalForm(Polynomial(), {p.value: (ExactComplex.coerce(coeff),)})
 
 
 def third_kind(p, q) -> RationalForm:
@@ -219,8 +253,8 @@ def second_kind(p, order: int) -> RationalForm:
     p = SpherePoint.coerce(p)
     if p.is_infinity:
         # z^(order-2) dz has a single pole at infinity of the given order
-        return RationalForm.from_coeffs([ZERO] * (order - 2) + [ONE], [ONE])
-    return RationalForm.from_coeffs([ONE], Polynomial([-p.value, ONE]).power(order).coeffs)
+        return RationalForm(Polynomial([ZERO] * (order - 2) + [ONE]), {})
+    return RationalForm(Polynomial(), {p.value: (ZERO,) * (order - 1) + (ONE,)})
 
 
 def prescribe_residues(divisor: CDivisor) -> RationalForm:
@@ -238,12 +272,11 @@ def prescribe_residues(divisor: CDivisor) -> RationalForm:
     points = [parse_sphere_point(name) for name in divisor.components]
     if sum(1 for pt in points if pt.is_infinity) > 1:
         raise SphereError("duplicate infinity component")
-    form = RationalForm.zero()
+    parts: Dict[ExactComplex, Tuple[ExactComplex]] = {}
     for point, coeff in zip(points, divisor.coefficients):
-        if point.is_infinity or coeff.is_zero():
-            continue
-        form = form + simple_pole_form(point, coeff)
-    return form
+        if not point.is_infinity:
+            parts[point.value] = (parts.get(point.value, (ZERO,))[0] + coeff,)
+    return RationalForm(Polynomial(), parts)
 
 
 def decompose_kinds(form: RationalForm) -> Tuple[RationalForm, RationalForm]:
@@ -253,12 +286,9 @@ def decompose_kinds(form: RationalForm) -> Tuple[RationalForm, RationalForm]:
     pole; the remainder has all residues zero, and the two add back to the
     input with no rounding anywhere.
     """
-    log_part = RationalForm.zero()
-    for point, _ in finite_poles(form):
-        r = residue_at(form, point)
-        if not r.is_zero():
-            log_part = log_part + simple_pole_form(point, r)
-    return log_part, form - log_part
+    log_part = {p: (residue_at(form, p),) for p in form.parts}
+    second_part = {p: (ZERO,) + cs[1:] for p, cs in form.parts.items()}
+    return RationalForm(Polynomial(), log_part), RationalForm(form.poly, second_part)
 
 
 def pole_order_bound_check(form: RationalForm, k: int) -> bool:
@@ -304,10 +334,11 @@ def parse_form_text(text: str) -> RationalForm:
     for name, poly in (("numerator", num), ("denominator", den)):
         if poly.degree > MAX_DEGREE:
             raise SphereError(f"{name} degree {poly.degree} exceeds {MAX_DEGREE}")
-    return RationalForm(RationalFunction(num, den))
+    return RationalForm.from_coeffs(num.coeffs, den.coeffs)
 
 
 def format_form_text(form: RationalForm) -> str:
-    num = ", ".join(format_exact(c) for c in form.fn.num.coeffs) or "0"
-    den = ", ".join(format_exact(c) for c in form.fn.den.coeffs) or "1"
+    num, den = form.fraction()
+    num = ", ".join(format_exact(c) for c in num.coeffs) or "0"
+    den = ", ".join(format_exact(c) for c in den.coeffs) or "1"
     return f"{num} / {den}\n"

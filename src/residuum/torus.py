@@ -103,7 +103,7 @@ class Torus:
         self.eta1 = 2.0 * complex(self._zeta_raw(0.5))
         self.eta2 = 2.0 * complex(self._zeta_raw(tau / 2.0))
         defect = abs(self.eta1 * tau - self.eta2 - TWO_PI_I)
-        if defect > LEGENDRE_TOL:
+        if not defect <= LEGENDRE_TOL:  # NaN eta fails too
             raise TorusError(
                 f"Legendre self-check failed: |eta1 tau - eta2 - 2 pi i| = {defect:.3e}; "
                 "raise the cutoff or move tau away from the real axis"
@@ -201,10 +201,6 @@ class Torus:
 
     def wp_prime(self, z):
         return self.wp_deriv(z, 1)
-
-    def weierstrass_fns(self, z) -> Tuple[complex, complex, complex]:
-        """(wp, wp', zeta) at one point."""
-        return self.wp(z), self.wp_prime(z), self.zeta(z)
 
     def __repr__(self):
         return f"Torus(tau={self.tau!r}, cutoff={self.cutoff})"
@@ -377,22 +373,3 @@ def parse_elliptic_form_text(text: str, torus: Torus) -> EllipticForm:
     if not saw_header:
         raise TorusError("missing `torus-form` header")
     return EllipticForm(torus, c0, tuple(logs), tuple(seconds))
-
-
-def parse_torus_text(text: str) -> Torus:
-    """`tau = a+bi` and optional `cutoff = N` lines."""
-    tau = None
-    cutoff = DEFAULT_CUTOFF
-    for lineno, body in _lines(text):
-        if "=" not in body:
-            raise TorusError(f"line {lineno}: expected `key = value`")
-        key, val = (part.strip() for part in body.split("=", 1))
-        if key == "tau":
-            tau = parse_exact(val).to_complex()
-        elif key == "cutoff":
-            cutoff = int(val)
-        else:
-            raise TorusError(f"line {lineno}: unknown key {key!r}")
-    if tau is None:
-        raise TorusError("missing `tau = a+bi` line")
-    return Torus(tau, cutoff)

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from residuum.cli import main
 
 TETRA = "0,1,2\n0,1,3\n0,2,3\n1,2,3\nmaximal\n"
@@ -243,3 +245,69 @@ def test_prescribe_torus_large_residues_sum_to_zero_relatively(tmp_path, capsys)
     div = write(tmp_path, "d.div", "0 : 699642.631\n1/2 : 407608.742\n1/2 i : -1107251.373\n")
     assert main(["prescribe", "--model", "torus", "--divisor", div, "--tau", "0.3 + 1.1 i"]) == 0
     assert capsys.readouterr().out.startswith("torus-form\n")
+
+
+SPHERE_PAIR_FORM = "-1 / 0, -1, 1\n"
+
+
+def sphere_pair(tmp_path):
+    garden = write(tmp_path, "g.garden", SPHERE_GARDEN)
+    form = write(tmp_path, "f.form", SPHERE_PAIR_FORM)
+    pair = str(tmp_path / "p.pair")
+    assert main(["pluriharm", "build", "--garden", garden, "--form", form, "--out", pair]) == 0
+    return pair
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["pluriharm", "eval", "--pair", "{pair}", "--at", "1/0"], {}),
+    (["pluriharm", "eval", "--pair", "{pair}", "--at", "1e400"], {}),
+    (["pluriharm", "eval", "--pair", "{pair}", "--at", "1e308"], {}),
+    (["prescribe", "--model", "sphere", "--divisor", "{div}"], {"div": "a : 1/0\n"}),
+    (["dimcount", "--garden", "{garden}"], {"garden": "model sphere\ncomponent 0\ncomponent 1/0\n"}),
+], ids=["at-zero-denominator", "at-beyond-double", "at-near-double-max", "divisor-zero-denominator",
+        "garden-zero-denominator"])
+def test_bad_literals_exit2(tmp_path, capsys, argv, files):
+    paths = {"pair": sphere_pair(tmp_path)}
+    paths.update({name: write(tmp_path, name, text) for name, text in files.items()})
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "0", "tight"])
+def test_residuum_tol_must_be_finite_positive(tmp_path, capsys, monkeypatch, value):
+    pair = sphere_pair(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setenv("RESIDUUM_TOL", value)
+    for argv in (["pluriharm", "audit", "--pair", pair, "--loops", "2"], ["pluriharm", "eval", "--pair", pair, "--at", "2"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: RESIDUUM_TOL must be a finite positive number, got {value!r}\n"
+
+
+def test_grid_and_audit_sizes_are_bounded(tmp_path, capsys):
+    from residuum.pluriharmonic import MAX_AUDIT_LOOPS, MAX_GRID_RES
+
+    pair = sphere_pair(tmp_path)
+    capsys.readouterr()
+    grid = ["pluriharm", "grid", "--pair", pair, "--window=2,3,0,1", "--res"]
+    audit = ["pluriharm", "audit", "--pair", pair, "--loops"]
+    for argv, value, low, high in ((grid, 0, 1, MAX_GRID_RES), (grid, MAX_GRID_RES + 1, 1, MAX_GRID_RES),
+                                   (audit, -1, 0, MAX_AUDIT_LOOPS), (audit, MAX_AUDIT_LOOPS + 1, 0, MAX_AUDIT_LOOPS)):
+        assert main(argv + [str(value)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and f"{value} is outside [{low}, {high}]" in err
+    # the CLI defaults (grid 20, audit 30) and the small sizes the benchmark uses stay allowed
+    assert max(20, 3) <= MAX_GRID_RES and max(30, 2) <= MAX_AUDIT_LOOPS
+    assert main(grid + ["1"]) == 0 and len(capsys.readouterr().out.splitlines()) == 2
+    assert main(audit + ["0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["periods", "pluriharm build"])
+def test_unsplit_denominator_exit2(tmp_path, capsys, command):
+    # z^2 - 2 has no root in Q(i); the form file is refused when it is read
+    garden = write(tmp_path, "g.garden", SPHERE_GARDEN)
+    form = write(tmp_path, "f.form", "1 / -2, 0, 1\n")
+    assert main(command.split() + ["--garden", garden, "--form", form]) == 2
+    assert capsys.readouterr() == ("", "error: factor of degree 2 has no roots in Q(i): -2, 0, 1 (constant first)\n")

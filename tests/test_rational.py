@@ -123,12 +123,6 @@ def test_rational_arithmetic_closure():
             assert (a * b) / b == a
 
 
-def test_pole_multiplicity():
-    f = RationalFunction(P(1), P(-1, 1).power(3))
-    assert f.pole_multiplicity(ONE) == 3
-    assert f.pole_multiplicity(ZERO) == 0
-
-
 def test_laurent_coefficient():
     # 1/z at 0: c_{-1} = 1
     f = RationalFunction(P(1), P(0, 1))

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from residuum.exact import ExactComplex
 from residuum.models import SphereModel, TorusModel
 from residuum.periods import GardenError, format_garden_text, make_garden, parse_garden_text
+from residuum.rational import Polynomial
 from residuum.sphere import RationalForm, SpherePoint
 from residuum.torus import EllipticForm, Torus
 
@@ -31,10 +32,15 @@ cell_points = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
 
 @st.composite
 def sphere_forms(draw):
+    """num / (c prod (z - r)) with Gaussian-rational r: a form file whose
+    denominator does not split over Q(i) is refused when it is parsed."""
     num = draw(st.lists(exacts, min_size=1, max_size=4))
-    den = draw(st.lists(exacts, min_size=1, max_size=3))
-    assume(not all(c.is_zero() for c in den))
-    return RationalForm.from_coeffs(num, den)
+    c = draw(exacts)
+    assume(not c.is_zero())
+    den = Polynomial([c])
+    for r in draw(st.lists(exacts, max_size=2)):
+        den = den * Polynomial([-r, 1])
+    return RationalForm.from_coeffs(num, den.coeffs)
 
 
 @st.composite

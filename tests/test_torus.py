@@ -10,7 +10,6 @@ from residuum.torus import (
     Torus,
     TorusError,
     holomorphic_torus,
-    parse_torus_text,
     second_kind_torus,
     third_kind_torus,
 )
@@ -36,6 +35,14 @@ def test_rejects_bad_tau():
         Torus(0.3 - 1.1j)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tau", [1e-20j, 1e-300j])
+def test_rejects_tau_with_nan_quasi_periods(tau):
+    # the quasi-periods come out NaN here, and a NaN defect must not pass
+    with pytest.raises(TorusError, match="Legendre self-check failed"):
+        Torus(tau)
+
+
 def test_zeta_is_odd():
     rng = random.Random(1)
     for _ in range(10):
@@ -57,14 +64,6 @@ def test_quasi_periods_consistent_at_independent_points():
     for z in (0.11 + 0.37j, 0.63 - 0.12j):
         assert abs((T.zeta(z + 1) - T.zeta(z)) - T.eta1) < 1e-10
         assert abs((T.zeta(z + TAU) - T.zeta(z)) - T.eta2) < 1e-10
-
-
-def test_weierstrass_fns_tuple():
-    z = 0.27 + 0.33j
-    wp, wp_prime, zeta = T.weierstrass_fns(z)
-    assert wp == T.wp(z)
-    assert wp_prime == T.wp_prime(z)
-    assert zeta == T.zeta(z)
 
 
 def test_wp_periodicity():
@@ -163,13 +162,6 @@ def test_form_arithmetic():
     z = 0.15 + 0.55j
     assert abs(s.eval_complex(z) - a.eval_complex(z) - 2.0) < 1e-12
     assert (a - a.scale(1.0)).is_zero() or abs((a - a).eval_complex(z)) < 1e-12
-
-
-def test_parse_torus_text():
-    t = parse_torus_text("tau = 0.3 + 1.1i\ncutoff = 12\n")
-    assert abs(t.tau - TAU) < 1e-15 and t.cutoff == 12
-    with pytest.raises(TorusError):
-        parse_torus_text("cutoff = 10\n")
 
 
 edge = st.sampled_from([0.0, -0.0, 5.37e-33, -5.37e-33, 1e-17, -1e-17, 1.0, 1 - 2**-53, -1.0])
