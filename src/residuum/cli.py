@@ -13,9 +13,10 @@ RESIDUUM_TOL overrides the default 1e-8 period tolerance.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path as FilePath
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .cech import cohomology_dims, parse_nerve_text
 from .chern import chern_cocycle, parse_hodge_text, parse_transition_text, residue_feasible
@@ -128,6 +129,28 @@ def cmd_dimcount(args) -> int:
     return 0
 
 
+def _parse_window(text: str) -> Tuple[float, float, float, float]:
+    try:
+        window = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        window = ()
+    if len(window) != 4 or not all(map(math.isfinite, window)):
+        raise ValueError(f"--window needs four finite numbers x0,x1,y0,y1, got {text!r}")
+    return window
+
+
+def _attach_window_values(argv: List[str]) -> List[str]:
+    """`--window -2,2,-2,2` as `--window=-2,2,-2,2`: argparse reads a value
+    that starts with '-' and is not a plain number as an option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] == "--window" and not arg.startswith("--"):
+            out[-1] = f"--window={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def cmd_pluriharm(args) -> int:
     if args.action == "build":
         garden = parse_garden_text(_read(args.garden))
@@ -139,6 +162,7 @@ def cmd_pluriharm(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
+    window = _parse_window(args.window) if args.action == "grid" else None
     pair = parse_pair_text(_read(args.pair))
     if args.action == "eval":
         z = parse_exact(args.at).to_complex()
@@ -146,8 +170,7 @@ def cmd_pluriharm(args) -> int:
         print(f"{field.real_value(z):.15g}")
         return 0
     if args.action == "grid":
-        x0, x1, y0, y1 = (float(p) for p in args.window.split(","))
-        rows = PluriharmonicField(pair).grid((x0, x1, y0, y1), args.res)
+        rows = PluriharmonicField(pair).grid(window, args.res)
         print("x,y,h")
         for x, y, h in rows:
             print(f"{x:.15g},{y:.15g},{h:.15g}")
@@ -232,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_window_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except FileNotFoundError as e:

@@ -172,6 +172,16 @@ def _segment_distance(a: complex, b: complex, p: complex) -> float:
     return abs(a + t * ab - p)
 
 
+def _segment_distances(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """`_segment_distance` elementwise over broadcast arrays with b != a,
+    in the same floating-point operations."""
+    ab, ap = b - a, p - a
+    # Python's float ** (libm pow), which differs from x * x in the last bit now and then
+    denom = np.array([abs(v) ** 2 for v in ab.ravel().tolist()]).reshape(ab.shape)
+    t = np.minimum(1.0, np.maximum(0.0, (ap.real * ab.real + ap.imag * ab.imag) / denom))
+    return np.hypot(a.real + t * ab.real - p.real, a.imag + t * ab.imag - p.imag)
+
+
 def circle(center: complex, radius: float) -> Path:
     """Counterclockwise circle as a closed loop."""
     if radius <= 0:
@@ -385,17 +395,16 @@ def _default_loops(model: Model, basepoint: complex) -> Tuple[Path, ...]:
 def _auto_basepoint(model: Model, sites: Sequence[complex]) -> complex:
     """The grid candidate whose default loops, or with none the point
     itself, clear the pole sites best; the first wins ties."""
-
-    def score(z: complex) -> float:
-        loops = _default_loops(model, z)
-        if loops:
-            return _clearance_of_loops(loops, sites)
-        return min((abs(z - p) for p in sites), default=math.inf)
-
     candidates = model.basepoint_grid()
+    z = np.array(candidates)[:, None]
+    p = np.array(sites, dtype=complex)[None, :]
+    if model.loop_offsets:
+        dists = [_segment_distances(z, z + offset, p) for offset in model.loop_offsets]
+    else:
+        dists = [np.hypot((z - p).real, (z - p).imag)]
+    scores = np.min(dists, axis=(0, 2), initial=math.inf)
     best_val, best = -math.inf, candidates[0]
-    for z in candidates:
-        v = score(z)
+    for z, v in zip(candidates, scores.tolist()):
         if v > best_val + 1e-15:
             best_val, best = v, z
     return best

@@ -1,10 +1,16 @@
 """Complex torus C/(Z + tau Z) with Weierstrass-function numerics.
 
-zeta, wp and its derivatives are evaluated by summing lattice rows in
-closed cotangent form, so the truncation error decays like
-exp(-2 pi N Im tau) for N summed rows.  The quasi-period constants eta1,
-eta2 are cached at construction and certified by the Legendre relation
-eta1*tau - eta2 = 2 pi i to 1e-10; failing that check aborts construction.
+zeta, wp and its derivatives are sums over lattice rows in closed
+cotangent form.  On a point z reduced into the cell (0 <= Im z < Im tau)
+row n needs only a = e^{2 pi i z} q^n and b = e^{2 pi i (tau - z)} q^{n-1},
+q = e^{2 pi i tau}, both of modulus at most 1: two exponentials per point,
+with the powers of q computed once per torus.  A row decays like |q|^n, so
+the number of rows summed comes from an explicit geometric tail bound (see
+`Torus.row_count`), and `cutoff` caps it.  The quasi-period constants
+eta1, eta2 are cached at construction and certified by the Legendre
+relation eta1*tau - eta2 = 2 pi i to 1e-10; failing that check aborts
+construction.  The torus layer runs with numpy floating-point warnings
+off and reports a non-finite value as a one-line TorusError instead.
 
 Closed meromorphic 1-forms on the torus are combinations
     c0 dz + sum r_j zeta(z - p_j) dz + sum c_k wp^{(l_k - 2)}(z - p_k) dz,
@@ -26,60 +32,68 @@ TWO_PI_I = 2j * math.pi
 LATTICE_MARGIN = 1e-8
 LEGENDRE_TOL = 1e-10
 DEFAULT_CUTOFF = 30
-# cutoff N allocates (2N + 1) lattice rows per evaluation point, so a
-# user-set cutoff needs a bound; at N = 200 the exp(-2 pi N Im tau)
-# truncation is below 1e-16 for every Im tau > 0.03
+# cutoff caps the lattice rows summed per point; fewer are summed where tau
+# allows (Torus.row_count).  A user-set cutoff still needs a bound, as a
+# torus precomputes cutoff + 1 powers of q; at 200 rows the tail bound
+# certifies zeta to 1e-16 for every Im tau >= 0.035.
 MAX_CUTOFF = 200
+# lattice rows x points per numpy block, so that temporaries stay near
+# 64 KiB whatever the row count, the number of terms or of points
+ROW_BLOCK = 4096
+_LN_1E16 = math.log(1e16)
 
 
 class TorusError(ValueError):
     pass
 
 
-def _cot_pi(w):
-    """cot(pi w), overflow-safe for any imaginary part (vectorized)."""
-    w = np.asarray(w, dtype=complex)
-    flip = w.imag < 0
-    w_safe = np.where(flip, -w, w)
-    q = np.exp(2j * math.pi * w_safe)  # |q| <= 1 on the safe side
-    cot = 1j * (q + 1.0) / (q - 1.0)
-    return np.where(flip, -cot, cot)
-
-
-def _csc2_pi(w):
-    """1/sin^2(pi w), overflow-safe (vectorized)."""
-    w = np.asarray(w, dtype=complex)
-    w_safe = np.where(w.imag < 0, -w, w)
-    q = np.exp(2j * math.pi * w_safe)
-    return -4.0 * q / (q - 1.0) ** 2
-
-
 @lru_cache(maxsize=None)
-def _cot_poly(k: int) -> Tuple[int, ...]:
-    """Integer coefficients (constant first) of Q_k(u) with
-    d^k/dw^k csc^2(pi w) = pi^k Q_k(cot(pi w));  Q_0 = 1 + u^2,
-    Q_{k+1} = -(1+u^2) Q_k'."""
+def _csc2_factor_poly(k: int) -> Tuple[int, ...]:
+    """Integer coefficients (constant first) of R_k(u) with
+    d^k/dw^k csc^2(pi w) = pi^k csc^2(pi w) R_k(cot(pi w));  R_0 = 1,
+    R_{k+1} = -(2u R_k + (1+u^2) R_k')."""
     if k == 0:
-        return (1, 0, 1)
-    prev = _cot_poly(k - 1)
-    deriv = tuple(c * (i + 1) for i, c in enumerate(prev[1:]))
-    out = [0] * (len(deriv) + 2)
-    for i, c in enumerate(deriv):
-        out[i] -= c
-        out[i + 2] -= c
+        return (1,)
+    prev = _csc2_factor_poly(k - 1)
+    out = [0] * (len(prev) + 1)
+    for i, c in enumerate(prev):
+        out[i + 1] -= 2 * c  # 2u R
+        if i:
+            out[i - 1] -= i * c  # R'
+            out[i + 1] -= i * c  # u^2 R'
     return tuple(out)
 
 
-def _poly_eval(coeffs: Sequence[int], u):
-    acc = np.zeros_like(u) if isinstance(u, np.ndarray) else 0j
+def _poly_eval(coeffs: Sequence[int], u: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(u)
     for c in reversed(coeffs):
         acc = acc * u + c
     return acc
 
 
+def _finite(z, out: np.ndarray):
+    """out in the shape of z, or a one-line TorusError where it is not finite."""
+    bad = ~np.isfinite(out)
+    if bad.any():
+        point = np.atleast_1d(np.asarray(z, dtype=complex))[bad][0]
+        raise TorusError(f"value at {point} is not finite")
+    return complex(out.ravel()[0]) if np.isscalar(z) or isinstance(z, complex) else out
+
+
+def _blockwise(row_sum, z: np.ndarray, rows: int) -> np.ndarray:
+    """row_sum over the flattened points in blocks of ROW_BLOCK // rows."""
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    step = max(1, ROW_BLOCK // rows)
+    for i in range(0, flat.size, step):
+        out[i:i + step] = row_sum(flat[i:i + step])
+    return out.reshape(z.shape)
+
+
 class Torus:
     """The lattice Z + tau Z (Im tau > 0) with cached quasi-periods."""
 
+    @np.errstate(all="ignore")
     def __init__(self, tau: complex, cutoff: int = DEFAULT_CUTOFF):
         tau = complex(tau)
         if not tau.imag > 0:
@@ -90,24 +104,40 @@ class Torus:
             raise TorusError(f"lattice-row cutoff must be at most {MAX_CUTOFF}, got {cutoff}")
         self.tau = tau
         self.cutoff = int(cutoff)
-        self._rows = np.arange(-self.cutoff, self.cutoff + 1)
-        # row-sum corrections reused by zeta/wp
-        n_pos = np.arange(1, self.cutoff + 1)
-        self._csc2_rows = _csc2_pi(n_pos * tau)  # 1/sin^2(pi n tau), n >= 1
-        self._csc2_sum = complex(self._csc2_rows.sum())
-        self._row_offsets = n_pos * tau
+        self._q_pows = np.exp(TWO_PI_I * (np.arange(self.cutoff + 1) * tau))  # q^n, n = 0..cutoff
+        # sum of 1/sin^2(pi n tau), n >= 1, reused by zeta/wp
+        q = self._q_pows[1:]
+        self._csc2_sum = complex((-4.0 * q / (q - 1.0) ** 2).sum())
         # the nine lattice points m + n tau, |m|, |n| <= 1, around a cell
         cell = [(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)]
         self._cell_m = np.array([m for m, _ in cell], dtype=float)
         self._cell_ntau = np.array([n * tau for _, n in cell])
-        self.eta1 = 2.0 * complex(self._zeta_raw(0.5))
-        self.eta2 = 2.0 * complex(self._zeta_raw(tau / 2.0))
+        self.eta1 = 2.0 * complex(self._zeta_raw(np.array([0.5 + 0j]))[0])
+        self.eta2 = 2.0 * complex(self._zeta_raw(np.array([tau / 2.0]))[0])
         defect = abs(self.eta1 * tau - self.eta2 - TWO_PI_I)
         if not defect <= LEGENDRE_TOL:  # NaN eta fails too
             raise TorusError(
                 f"Legendre self-check failed: |eta1 tau - eta2 - 2 pi i| = {defect:.3e}; "
                 "raise the cutoff or move tau away from the real axis"
             )
+
+    def row_count(self, k: int) -> int:
+        """Lattice rows summed for zeta (k = -1) or wp^(k) (k >= 0):
+        min(cutoff, N(tau, k)).
+
+        With r = |q| = exp(-2 pi Im tau) and F_k = (k+1)! (2 pi)^(k+1), row n
+        (the points z + n tau and z - n tau) adds at most
+        2 pi F_k r^(n-1) (1 + r^2) / (1 - r)^(k+2) on a reduced z, so the rows
+        after N sum to at most K_k r^N, K_k = 2 pi F_k (1 + r^2) / (1 - r)^(k+3).
+        N(tau, k) = ceil(ln(1e16 F_k) / (2 pi Im tau) + s) with at least s = 2
+        spare rows, and more where K_k / F_k exceeds r^-2, makes K_k r^N <= 1e-16.
+        """
+        width = 2.0 * math.pi * self.tau.imag  # -ln r
+        r = math.exp(-width)
+        log_f = math.lgamma(k + 2) + (k + 1) * math.log(2.0 * math.pi)
+        log_shape = math.log(2.0 * math.pi * (1.0 + r * r)) - (k + 3) * math.log(-math.expm1(-width))
+        rows = (_LN_1E16 + log_f) / width + max(2.0, log_shape / width)
+        return math.ceil(min(rows, self.cutoff))
 
     # -- lattice geometry -------------------------------------------------
 
@@ -116,6 +146,7 @@ class Torus:
         t = z.imag / self.tau.imag
         return z.real - t * self.tau.real, t
 
+    @np.errstate(all="ignore")
     def _reduce(self, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """z = z0 + m + n tau elementwise, with z0 = s + t tau and s, t in
         [0, 1) as computed, so z0 reduces to itself: a translate rounded past
@@ -161,40 +192,55 @@ class Torus:
 
     # -- Weierstrass values -----------------------------------------------
 
-    def _zeta_raw(self, z):
-        """Row-summed zeta on points already inside the convergence window."""
-        z = np.asarray(z, dtype=complex)
+    def _zeta_raw(self, z: np.ndarray) -> np.ndarray:
+        """Row-summed zeta on reduced points (0 <= Im z < Im tau)."""
         pi = math.pi
-        offs = self._row_offsets.reshape((-1,) + (1,) * z.ndim)
-        rows = _cot_pi(z[None, ...] - offs) + _cot_pi(z[None, ...] + offs)
+        n = self.row_count(-1)
+        q = self._q_pows[:n + 1, None]
+
+        def row_sum(w):
+            # cot(pi(w + n tau)) + cot(pi(w - n tau)) for n = 1..N
+            a = np.exp(TWO_PI_I * w) * q[1:]
+            b = np.exp(TWO_PI_I * (self.tau - w)) * q[:-1]
+            return (2j * (b - a) / ((a - 1.0) * (b - 1.0))).sum(axis=0)
+
+        x = np.exp(TWO_PI_I * z)
         return (
-            pi * _cot_pi(z)
+            pi * (1j * (x + 1.0) / (x - 1.0))
             + (pi * pi / 3.0) * z
-            + pi * rows.sum(axis=0)
+            + pi * _blockwise(row_sum, z, n)
             + 2.0 * (pi * pi) * self._csc2_sum * z
         )
 
+    @np.errstate(all="ignore")
     def zeta(self, z):
         """Weierstrass zeta; quasi-periodic with drops eta1, eta2."""
-        scalar = np.isscalar(z) or isinstance(z, complex)
         reduced, m, n = self._reduce_off_lattice(z)
-        out = self._zeta_raw(reduced) + m * self.eta1 + n * self.eta2
-        return complex(out.ravel()[0]) if scalar else out
+        return _finite(z, self._zeta_raw(reduced) + m * self.eta1 + n * self.eta2)
 
+    @np.errstate(all="ignore")
     def wp_deriv(self, z, k: int = 0):
         """k-th derivative of wp (k = 0 gives wp itself), elliptic."""
-        scalar = np.isscalar(z) or isinstance(z, complex)
         reduced, _, _ = self._reduce_off_lattice(z)
         pi = math.pi
-        coeffs = _cot_poly(k)
-        w = reduced[None, ...] - (self._rows[:, None] * self.tau).reshape(
-            (-1,) + (1,) * reduced.ndim
-        )
-        u = _cot_pi(w)
-        total = (pi ** (k + 2)) * _poly_eval(coeffs, u).sum(axis=0)
+        n = self.row_count(k)
+        q = self._q_pows[:n + 1, None]
+        coeffs = _csc2_factor_poly(k)
+
+        def row_sum(w):
+            # e^{2 pi i v} for v = w + n tau (n = 0..N) and v = n tau - w
+            # (n = 1..N); csc^2 is even and R_k has the parity of k
+            e = np.concatenate((np.exp(TWO_PI_I * w) * q, np.exp(TWO_PI_I * (self.tau - w)) * q[:-1]))
+            d = e - 1.0
+            rows = -4.0 * e / (d * d)  # csc^2
+            if k:
+                rows = rows * _poly_eval(coeffs, 1j * (e + 1.0) / d)
+            return rows[:n + 1].sum(axis=0) + (-1) ** k * rows[n + 1:].sum(axis=0)
+
+        total = (pi ** (k + 2)) * _blockwise(row_sum, reduced, 2 * n + 1)
         if k == 0:
             total = total - (pi * pi / 3.0) - 2.0 * (pi * pi) * self._csc2_sum
-        return complex(total.ravel()[0]) if scalar else total
+        return _finite(z, total)
 
     def wp(self, z):
         return self.wp_deriv(z, 0)
@@ -296,18 +342,21 @@ class EllipticForm:
 
     # -- evaluation -----------------------------------------------------------
 
+    @np.errstate(all="ignore")
     def eval_complex(self, z):
         """Coefficient function value at complex scalar / array arguments."""
-        scalar = np.isscalar(z) or isinstance(z, complex)
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.full(arr.shape, self.c0, dtype=complex)
-        for p, r in self.log_terms:
-            if r != 0:
-                out = out + r * self.torus.zeta(arr - p)
+        logs = [(p, r) for p, r in self.log_terms if r != 0]
+        if logs:
+            # one zeta call on the stacked arr - p_j; terms added in order
+            poles = np.array([p for p, _ in logs]).reshape((-1,) + (1,) * arr.ndim)
+            for (_, r), zeta in zip(logs, self.torus.zeta(arr - poles)):
+                out = out + r * zeta
         for p, order, c in self.second_terms:
             if c != 0:
                 out = out + c * self.torus.wp_deriv(arr - p, order - 2)
-        return complex(out.ravel()[0]) if scalar else out
+        return _finite(z, out)
 
 
 def third_kind_torus(torus: Torus, p: complex, q: complex) -> EllipticForm:

@@ -311,3 +311,43 @@ def test_unsplit_denominator_exit2(tmp_path, capsys, command):
     form = write(tmp_path, "f.form", "1 / -2, 0, 1\n")
     assert main(command.split() + ["--garden", garden, "--form", form]) == 2
     assert capsys.readouterr() == ("", "error: factor of degree 2 has no roots in Q(i): -2, 0, 1 (constant first)\n")
+
+
+@pytest.mark.parametrize("window, code, err", [
+    (["--window", "-2,2,-2,2"], 0, ""),
+    (["--window=-2,2,-2,2"], 0, ""),
+    (["--window=0,1,0"], 2, "error: --window needs four finite numbers x0,x1,y0,y1, got '0,1,0'\n"),
+    (["--window", "0,1,0,x"], 2, "error: --window needs four finite numbers x0,x1,y0,y1, got '0,1,0,x'\n"),
+    (["--window=0,inf,0,1"], 2, "error: --window needs four finite numbers x0,x1,y0,y1, got '0,inf,0,1'\n"),
+    (["--window", "-1,1,-1,1,0"], 2, "error: --window needs four finite numbers x0,x1,y0,y1, got '-1,1,-1,1,0'\n"),
+], ids=["negative-separate", "negative-attached", "three-values", "not-a-number", "infinite", "five-values"])
+def test_grid_window_forms(tmp_path, capsys, window, code, err):
+    pair = sphere_pair(tmp_path)
+    capsys.readouterr()
+    assert main(["pluriharm", "grid", "--pair", pair, *window, "--res", "2"]) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    if code == 0:
+        assert out.splitlines()[0] == "x,y,h" and len(out.splitlines()) == 5
+
+
+def test_grid_window_is_checked_before_the_pair_is_read(capsys):
+    assert main(["pluriharm", "grid", "--pair", "/nonexistent/p.pair", "--window=0,1,0"]) == 2
+    assert capsys.readouterr().err.startswith("error: --window needs four")
+
+
+@pytest.mark.parametrize("tau", ["0 + 1e-300 i", "0 + 1e-20 i"])
+def test_tiny_imaginary_tau_prints_one_line(tmp_path, tau):
+    # a real interpreter, so that any numpy warning would reach stderr
+    import os
+    import subprocess
+    import sys
+
+    import residuum
+
+    div = write(tmp_path, "d.div", "1/2 : 1\n1/4 : -1\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(residuum.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "residuum.cli", "prescribe", "--model", "torus", "--tau", tau,
+                           "--divisor", div], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: Legendre self-check failed") and proc.stderr.count("\n") == 1

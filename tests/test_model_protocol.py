@@ -1,6 +1,8 @@
 """Behaviour that rides on the model protocol: exact sphere conjugation,
 the field's value at its basepoint, and early rejection of bad gardens."""
 
+from pathlib import Path
+
 import pytest
 
 from residuum.cli import main
@@ -37,8 +39,8 @@ def test_sphere_build_accepts_non_dyadic_real_residues(tmp_path, capsys):
     )
     pair = str(tmp_path / "p.pair")
     assert main(["pluriharm", "build", "--garden", garden, "--form", form, "--out", pair]) == 0
-    psi = open(pair).read().split("[psi]\n")[1]
-    assert psi == open(form).read()  # real residues: the partner carries the same ones
+    psi = Path(pair).read_text().split("[psi]\n")[1]
+    assert psi == Path(form).read_text()  # real residues: the partner carries the same ones
     assert main(["pluriharm", "audit", "--pair", pair, "--loops", "2"]) == 0
 
 

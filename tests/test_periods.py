@@ -2,12 +2,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residuum.divisor import CDivisor
 from residuum.exact import ExactComplex
 from residuum.models import SphereModel, TorusModel, prescribe_residues, third_kind, second_kind
 from residuum.periods import (
     GardenError,
+    _auto_basepoint,
+    _clearance_of_loops,
+    _default_loops,
     Path,
     PathError,
     PrescriptionError,
@@ -374,3 +378,52 @@ def test_garden_sphere_loop_override_must_close():
     bad = "model sphere\ncomponent 0\nloop polyline 1 ; 2\n"
     with pytest.raises(GardenError):
         parse_garden_text(bad)
+
+
+def reference_basepoint(model, sites):
+    """The scalar candidate search that `_auto_basepoint` vectorizes."""
+
+    def score(z):
+        loops = _default_loops(model, z)
+        if loops:
+            return _clearance_of_loops(loops, sites)
+        return min((abs(z - p) for p in sites), default=math.inf)
+
+    candidates = model.basepoint_grid()
+    best_val, best = -math.inf, candidates[0]
+    for z in candidates:
+        v = score(z)
+        if v > best_val + 1e-15:
+            best_val, best = v, z
+    return best
+
+
+# exact fractions put poles on symmetric layouts, so candidates tie exactly
+coordinate = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.2, 0.8, 1.0, -0.5, -1.0]), st.floats(-2, 2))
+torus_models = st.sampled_from([TMODEL, TorusModel(Torus(1j)), TorusModel(Torus(0.5 + 0.9j))])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(st.just(SPHERE), torus_models), st.lists(st.tuples(coordinate, coordinate), max_size=5))
+def test_auto_basepoint_matches_scalar_search(model, coords):
+    if model is SPHERE:
+        points = [complex(x, y) for x, y in coords]
+    else:  # lattice coordinates s + t tau
+        points = [s + t * model.torus.tau for s, t in coords]
+    sites = model.pole_sites([model.coerce_point(p) for p in points])
+    assert _auto_basepoint(model, sites) == reference_basepoint(model, sites)
+
+
+@pytest.mark.parametrize("model, points", [
+    (SPHERE, [-1, 1]),
+    (SPHERE, [1, 1j, -1, -1j]),
+    (TorusModel(Torus(1j)), [0.5 + 0.5j]),
+    (TorusModel(Torus(1j)), [0.25 + 0.25j, 0.75 + 0.75j]),
+    (TMODEL, [0.25 + 0.3 * TAU, 0.75 + 0.7 * TAU]),
+    # a later candidate beats an earlier one by less than 1e-15 here
+    (TMODEL, [2 / 3 + 0.75 * TAU]),
+    (TorusModel(Torus(0.5 + 0.9j)), [0.75 + 0.75 * (0.5 + 0.9j), 2 / 3 * (0.5 + 0.9j)]),
+])
+def test_auto_basepoint_ties_pick_the_first_candidate(model, points):
+    sites = model.pole_sites([model.coerce_point(p) for p in points])
+    assert _auto_basepoint(model, sites) == reference_basepoint(model, sites)

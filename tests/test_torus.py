@@ -3,7 +3,8 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import mpmath
+from hypothesis import assume, example, given, settings, strategies as st
 
 from residuum.torus import (
     EllipticForm,
@@ -35,7 +36,6 @@ def test_rejects_bad_tau():
         Torus(0.3 - 1.1j)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("tau", [1e-20j, 1e-300j])
 def test_rejects_tau_with_nan_quasi_periods(tau):
     # the quasi-periods come out NaN here, and a NaN defect must not pass
@@ -183,3 +183,91 @@ def test_reduce_point_is_idempotent(tau, s, t, m, n):
     z0, m0, n0 = torus.reduce_point(z)
     assert torus.reduce_point(z0) == (z0, 0, 0)
     assert abs(z0 + m0 + n0 * tau - z) < 1e-14 * (1 + abs(z))
+
+
+# -- lattice rows against a theta-function oracle --------------------------
+
+ORACLE_DIGITS = 30
+# largest |value - reference| / scale allowed for zeta (k = -1) and wp^(k),
+# where scale = 1 + |reference| + (k+1)! / gap^(k+2) adds the size of the
+# nearest pole's term at lattice distance gap
+TOLS = {-1: 1e-14, 0: 1e-14, 1: 1e-14, 2: 1e-14, 3: 1e-14}
+
+
+def oracle_scale(ref: complex, k: int, gap: float) -> float:
+    return 1 + abs(ref) + math.factorial(k + 1) / gap ** (k + 2)
+
+
+def zeta_reference(tau: complex, z):
+    """zeta(z) = eta1 z + pi theta1'(pi z) / theta1(pi z) with nome e^{i pi tau}
+    and eta1 = -(pi^2 / 3) theta1'''(0) / theta1'(0) (DLMF 23.6)."""
+    q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+    eta1 = -(mpmath.pi ** 2 / 3) * mpmath.jtheta(1, 0, q, 3) / mpmath.jtheta(1, 0, q, 1)
+    w = mpmath.pi * z
+    return eta1 * z + mpmath.pi * mpmath.jtheta(1, w, q, 1) / mpmath.jtheta(1, w, q)
+
+
+taus = st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.35, 2.0))
+cell = st.floats(-1.0, 2.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(0.1 + 0.35j, 0.37, 0.81)
+@example(0.3 + 1.1j, 0.5, 0.5)
+@example(0.1 + 0.6j, 1.93, -0.4)
+@given(taus, cell, cell)
+def test_zeta_and_wp_derivatives_match_theta_reference(tau, s, t):
+    torus = Torus(tau)
+    z = s + t * tau
+    gap = torus.lattice_distance(z)
+    assume(gap > 0.05)
+    with mpmath.workdps(ORACLE_DIGITS):
+        zm = mpmath.mpc(z)
+        ref = complex(zeta_reference(tau, zm))
+        assert abs(torus.zeta(z) - ref) <= TOLS[-1] * oracle_scale(ref, -1, gap)
+        for k in range(4):  # wp^(k) = -zeta^(k+1)
+            ref = complex(-mpmath.diff(lambda w: zeta_reference(tau, w), zm, k + 1))
+            assert abs(torus.wp_deriv(z, k) - ref) <= TOLS[k] * oracle_scale(ref, k, gap), k
+
+
+def test_row_count_from_tau_capped_by_cutoff():
+    assert Torus(0.3 + 1.1j).row_count(-1) == 8
+    assert Torus(0.1 + 0.6j).row_count(-1) == 12
+    assert [Torus(0.1 + 0.6j).row_count(k) for k in range(4)] == [13, 13, 14, 15]
+    assert Torus(0.1 + 0.6j, cutoff=10).row_count(-1) == 10
+    assert Torus(0.1 + 0.6j, cutoff=10).row_count(3) == 10
+
+
+@pytest.mark.parametrize("im", [0.1, 0.35, 0.6, 1.1, 2.0, 5.0])
+@pytest.mark.parametrize("k", [-1, 0, 1, 2, 3])
+def test_row_count_certifies_the_tail(im, k):
+    # the rows after N add at most K r^N, K = 2 pi (k+1)! (2 pi)^(k+1) (1 + r^2) / (1 - r)^(k+3)
+    n = Torus(complex(0.25, im), cutoff=200).row_count(k)
+    r = math.exp(-2 * math.pi * im)
+    tail = 2 * math.pi * math.factorial(k + 1) * (2 * math.pi) ** (k + 1) * (1 + r * r) / (1 - r) ** (k + 3)
+    assert tail * r ** n <= 1e-16 < tail * r ** (n - 3)
+
+
+def test_form_eval_stacks_zeta_terms_bit_identically():
+    form = EllipticForm(
+        T, 0.5 - 1j, ((0.2 + 0.3j, 1.5), (0.6 + 0.7j, -1.0 + 2j), (0.9 + 0.1j, 0j), (0.1 + 0.9j, -0.5 - 2j)),
+        ((0.4 + 0.1j, 3, 2.0),),
+    )
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-1, 2, 1000) + 1j * rng.uniform(-1, 2, 1000)  # more points than one row block
+    expected = np.full(z.shape, form.c0)
+    for p, r in form.log_terms:
+        if r != 0:
+            expected = expected + r * T.zeta(z - p)
+    for p, order, c in form.second_terms:
+        expected = expected + c * T.wp_deriv(z - p, order - 2)
+    assert np.array_equal(form.eval_complex(z), expected)
+    assert form.eval_complex(complex(z[0])) == expected[0]
+
+
+def test_non_finite_value_raises_one_line():
+    # the quasi-period drops overflow this far out
+    with pytest.raises(TorusError, match=r"^value at \(1e\+308\+0.3j\) is not finite$"):
+        T.zeta(np.array([0.5, 1e308 + 0.3j]))
+    with pytest.raises(TorusError, match=r"^value at \(0.5\+0.5j\) is not finite$"):
+        EllipticForm(T, 0j, ((0.2 + 0.3j, 1e308), (0.6 + 0.7j, -1e308))).eval_complex(0.5 + 0.5j)
