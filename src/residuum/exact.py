@@ -7,28 +7,48 @@ package runs over this field; floats only appear after an explicit
 
 from __future__ import annotations
 
+import cmath
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Tuple, Union
 
 Rat = Union[int, Fraction]
 
 
 class ExactComplex:
-    """A complex number with Fraction real and imaginary parts.
+    """A complex rational (a + b i) / d held as Python ints, d > 0 and
+    gcd(a, b, d) = 1, so that zero is (0, 0, 1).
 
     Immutable and hashable.  Supports field arithmetic, conjugation and
-    lossless parsing/printing via `parse_exact` / `format_exact`.
+    lossless parsing/printing via `parse_exact` / `format_exact`; `re` and
+    `im` read the parts as Fractions.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d", "_hash")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            p, q = re.denominator, im.denominator
+            d = p // gcd(p, q) * q  # lcm(p, q): no prime divides a, b and d
+            a, b = re.numerator * (d // p), im.numerator * (d // q)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- constructors -------------------------------------------------
 
@@ -52,42 +72,49 @@ class ExactComplex:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        d, f = self.d, other.d
+        if d == f:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        d, f = self.d, other.d
+        if d == f:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __rsub__(self, other):
         return ExactComplex.coerce(other) - self
 
     def __mul__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = ExactComplex.coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by exact zero")
-        return ExactComplex(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a + b i) / d * f / (c + e i) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
         return ExactComplex.coerce(other) / self
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        return _canonical(-self.a, -self.b, self.d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -102,29 +129,38 @@ class ExactComplex:
         return out
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        return _canonical(self.a, -self.b, self.d)
 
     # -- predicates / conversions --------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.b == 0
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds the exact quotient once, as float(Fraction) does
+        return complex(self.a / self.d) + 1j * complex(self.b / self.d)
 
     __complex__ = to_complex
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, complex, ExactComplex)):
+        if type(other) is not ExactComplex:
+            if not isinstance(other, (int, Fraction, complex, ExactComplex)):
+                return NotImplemented
+            if isinstance(other, complex) and not cmath.isfinite(other):
+                return False  # no rational equals a NaN or an infinity
             other = ExactComplex.coerce(other)
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.re, self.im))
+            _set_hash(self, h)
+            return h
 
     def __bool__(self):
         return not self.is_zero()
@@ -134,6 +170,32 @@ class ExactComplex:
 
     def __str__(self):
         return format_exact(self)
+
+
+# slot setters that get past the immutability guard in __setattr__
+_set_a = ExactComplex.a.__set__
+_set_b = ExactComplex.b.__set__
+_set_d = ExactComplex.d.__set__
+_set_hash = ExactComplex._hash.__set__
+_blank = object.__new__
+
+
+def _canonical(a: int, b: int, d: int) -> ExactComplex:
+    """(a + b i) / d from ints already in canonical form."""
+    z = _blank(ExactComplex)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> ExactComplex:
+    """(a + b i) / d for d > 0, divided by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _canonical(a // g, b // g, d // g)
+    return _canonical(a, b, d)
 
 
 ZERO = ExactComplex(0)

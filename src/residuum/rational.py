@@ -207,7 +207,7 @@ def _numeric_roots(p: Polynomial) -> List[complex]:
     with 2^e near the nonzero roots' geometric mean so that the coefficients
     stay in double range; none where they cannot."""
     j, low = next((j, c) for j, c in enumerate(p.coeffs) if c)
-    size = abs(low.re) + abs(low.im)  # about the product of the nonzero roots
+    size = Fraction(abs(low.a) + abs(low.b), low.d)  # about the product of the nonzero roots
     e = (size.numerator.bit_length() - size.denominator.bit_length()) // max(p.degree - j, 1)
     try:
         coeffs = [(c * Fraction(2) ** (e * (k - p.degree))).to_complex() for k, c in enumerate(p.coeffs)]
@@ -232,7 +232,7 @@ def _certified_grid(work: Polynomial, scale: int) -> List[Tuple[int, int]]:
 
     ctx = mpmath.MPContext()
     n = work.degree
-    ints = [(int(c.re * scale), int(c.im * scale)) for c in reversed(work.coeffs)]
+    ints = [(c.a * (scale // c.d), c.b * (scale // c.d)) for c in reversed(work.coeffs)]
     height = max(max(abs(a), abs(b)) for a, b in ints).bit_length()
     cap = 2 * n * (height + n.bit_length()) + 128
     prec = height + 64  # holds every coefficient exactly
@@ -274,7 +274,7 @@ def linear_roots(p: Polynomial) -> List[Tuple[ExactComplex, int]]:
         for locate in (_double_grid, _certified_grid):
             if rest.degree < 1:
                 break
-            scale = math.lcm(*(q.denominator for c in rest.coeffs for q in (c.re, c.im)))
+            scale = math.lcm(*(c.d for c in rest.coeffs))
             for a, b in locate(rest, scale):
                 r = ExactComplex(Fraction(a, scale), Fraction(b, scale))
                 if rest.degree >= 1 and rest.eval(r).is_zero():

@@ -37,6 +37,10 @@ DEFAULT_CUTOFF = 30
 # torus precomputes cutoff + 1 powers of q; at 200 rows the tail bound
 # certifies zeta to 1e-16 for every Im tau >= 0.035.
 MAX_CUTOFF = 200
+# a pole of order m needs R_{m-2} of `_csc2_factor_poly`, an integer
+# polynomial of degree m - 2 built by recursion; 64 is also the largest
+# pole order a sphere form can have (`sphere.MAX_DEGREE`)
+MAX_POLE_ORDER = 64
 # lattice rows x points per numpy block, so that temporaries stay near
 # 64 KiB whatever the row count, the number of terms or of points
 ROW_BLOCK = 4096
@@ -279,6 +283,8 @@ class EllipticForm:
         for p, order, c in self.second_terms:
             if order < 2:
                 raise TorusError("second-kind term needs pole order >= 2")
+            if order > MAX_POLE_ORDER:
+                raise TorusError(f"second-kind pole order {order} exceeds {MAX_POLE_ORDER}")
             seconds.append((self.torus.reduce_point(p)[0], int(order), complex(c)))
         object.__setattr__(self, "c0", complex(self.c0))
         object.__setattr__(self, "log_terms", logs)

@@ -150,6 +150,23 @@ def test_periods_torus(tmp_path, capsys):
     assert "1.1" in out[0]
 
 
+@pytest.mark.parametrize("excess", [0, 1, 3000 - 64])
+def test_periods_torus_pole_order_bound(tmp_path, capsys, excess):
+    from residuum.torus import MAX_POLE_ORDER
+
+    order = MAX_POLE_ORDER + excess
+    garden = write(tmp_path, "g.garden", TORUS_GARDEN)
+    # pole on a component; the tiny coefficient keeps wp^(order - 2) in float range
+    form = write(tmp_path, "f.form", f"torus-form\npp 3/5 + 7/10 i : {order} : 1e-200\n")
+    code = main(["periods", "--garden", garden, "--form", form])
+    out, err = capsys.readouterr()
+    if excess == 0:
+        assert (code, err) == (0, "") and out.startswith("long: ")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: second-kind pole order {order} exceeds {MAX_POLE_ORDER}\n"
+
+
 def test_dimcount(tmp_path, capsys):
     garden = write(tmp_path, "g.garden", TORUS_GARDEN)
     assert main(["dimcount", "--garden", garden]) == 0

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residuum.exact import ExactComplex, I, ONE, ZERO, format_exact, parse_exact
 
@@ -89,3 +91,112 @@ def test_format_parse_roundtrip():
             Fraction(rng.randint(-20, 20), rng.randint(1, 12)),
         )
         assert parse_exact(format_exact(z)) == z
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex("-inf"), complex(1, float("nan")),
+                               complex(1, float("inf"))])
+def test_equality_with_non_finite_complex_is_false(z):
+    for x in (ExactComplex(1), ZERO, ExactComplex(Fraction(1, 3), 2)):
+        assert not x == z and x != z
+        assert not z == x and z != x
+
+
+# -- property test against a Fraction-pair reference ----------------------------
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+RATIONALS = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**25)),
+)
+PAIRS = st.tuples(RATIONALS, RATIONALS)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    if n == 0:
+        raise ZeroDivisionError
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def ref_format(x):
+    def rat(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    re, im = x
+    if im == 0:
+        return rat(re)
+    imtxt = "i" if abs(im) == 1 else f"{rat(abs(im))} i"
+    if re == 0:
+        return imtxt if im > 0 else f"-{imtxt}"
+    return f"{rat(re)} {'-' if im < 0 else '+'} {imtxt}"
+
+
+def check(z, x):
+    """z is canonical and has the value of the reference pair x."""
+    assert type(z.a) is int and type(z.b) is int and type(z.d) is int
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert (z.re, z.im) == x
+    assert z.is_zero() == (x == (0, 0)) == ((z.a, z.b, z.d) == (0, 0, 1))
+    assert hash(z) == hash(x)
+    assert format_exact(z) == ref_format(x)
+    assert parse_exact(format_exact(z)) == z
+
+
+@SETTINGS
+@given(PAIRS, PAIRS, st.integers(0, 6))
+def test_arithmetic_matches_fraction_reference(x, y, n):
+    z, w = ExactComplex(*x), ExactComplex(*y)
+    check(z, x)
+    check(z + w, (x[0] + y[0], x[1] + y[1]))
+    check(z - w, (x[0] - y[0], x[1] - y[1]))
+    check(z * w, ref_mul(x, y))
+    check(-z, (-x[0], -x[1]))
+    check(z.conjugate(), (x[0], -x[1]))
+    power = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        power = ref_mul(power, x)
+    check(z ** n, power)
+    if y == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            z / w
+    else:
+        check(z / w, ref_div(x, y))
+    # equal values built along different routes are equal and hash alike
+    assert (z + w) - w == z and hash((z + w) - w) == hash(z)
+
+
+@SETTINGS
+@given(PAIRS, RATIONALS)
+def test_mixed_operands_and_equality_match_fraction_reference(x, q):
+    z = ExactComplex(*x)
+    check(z + q, (x[0] + q, x[1]))
+    check(q + z, (q + x[0], x[1]))
+    check(q - z, (q - x[0], -x[1]))
+    check(z * q, (x[0] * q, x[1] * q))
+    if z.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            q / z
+    else:
+        check(q / z, ref_div((q, Fraction(0)), x))
+    assert (z == q) == (q == z) == (x == (q, 0))
+    k = q.numerator
+    assert (z == k) == (k == z) == (x == (k, 0))
+    assert ExactComplex(q) == q and ExactComplex(k) == k
+
+
+@SETTINGS
+@given(PAIRS)
+def test_to_complex_matches_fraction_reference(x):
+    try:
+        expected = complex(float(x[0])) + 1j * complex(float(x[1]))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            ExactComplex(*x).to_complex()
+        return
+    assert repr(ExactComplex(*x).to_complex()) == repr(expected)

@@ -3,7 +3,10 @@
 The expected texts were recorded before the sphere and torus code paths
 were unified behind one model protocol; they pin point naming, lattice
 reduction, the lossless float formatter, the automatic basepoint and the
-exact sphere arithmetic byte for byte.
+exact sphere arithmetic byte for byte.  The `feasible` and `chern` texts
+were recorded with Fraction-pair Q(i) arithmetic, before `ExactComplex`
+moved to integers, and pin the obstruction class and the Chern cocycle
+over Gaussian-rational cover points.
 """
 
 import pytest
@@ -64,6 +67,56 @@ DIMCOUNT = [
     ("model sphere\ncomponent 0\ncomponent 1\ncomponent i\ncomponent inf\n", "3\n"),
     (TORUS2, "3\n"),
     (TORUS3, "4\n"),
+]
+
+SPHERE_HODGE = "b1 = 0\nd_omega0 = 0\nh01 = 0\nh2 = 1\n"
+HODGE_BROKEN = "b1 = 3\nd_omega0 = 1\nh01 = 1\n"
+COVER = ["0.137 + 0.094 i", "-0.121 + 0.213 i", "0.052 - 0.184 i", "-1/8 - 3/40 i"]
+
+
+def sphere_point_text(points):
+    return "mode sphere-point\n" + "".join(f"component {p} : {p}\n" for p in points)
+
+
+def divisor_text(pairs):
+    return "".join(f"{p} : {c}\n" for p, c in pairs)
+
+
+# (divisor, transitions, hodge, exit code, stdout)
+FEASIBLE = [
+    (divisor_text([(COVER[0], "1 + i"), (COVER[1], "-1 - i")]), sphere_point_text(COVER[:2]),
+     SPHERE_HODGE, 0, "feasible class: 0\n"),
+    (divisor_text([(COVER[0], "1/2 + i"), (COVER[1], "-3/4"), (COVER[2], "1/4 - i")]),
+     sphere_point_text(COVER[:3]), SPHERE_HODGE, 0, "feasible class: 0\n"),
+    (divisor_text([(COVER[0], "1/2 + i"), (COVER[1], "-3/4"), (COVER[2], "2 - i")]),
+     sphere_point_text(COVER[:3]), SPHERE_HODGE, 1, "infeasible class: 7/4\n"),
+    (divisor_text([(COVER[0], "3/2 - 2 i"), (COVER[3], "-1/3")]),
+     sphere_point_text([COVER[0], COVER[3]]), SPHERE_HODGE, 1, "infeasible class: 7/6 - 2 i\n"),
+    (divisor_text([(COVER[0], "2"), (COVER[1], "-1 + i"), (COVER[2], "-1 - i")]),
+     sphere_point_text(COVER[:3]), HODGE_BROKEN, 3, "inconclusive class: 0\n"),
+]
+
+# (cover points, extra argv, stdout)
+CHERN = [
+    (COVER[:1], [], "component 0.137 + 0.094 i\n0,2,3 : 1\n"),
+    (
+        COVER[:3],
+        [],
+        "component 0.137 + 0.094 i\n0,2,3 : 1\ncomponent -0.121 + 0.213 i\n0,2,3 : 1\n"
+        "component 0.052 - 0.184 i\n0,2,3 : 1\n",
+    ),
+    (
+        COVER,
+        ["--all"],
+        "".join(
+            f"component {p}\n0,1,2 : 0\n0,1,3 : 0\n0,2,3 : 1\n1,2,3 : 0\n" for p in COVER
+        ),
+    ),
+    (
+        [COVER[3], COVER[1]],
+        [],
+        "component -1/8 - 3/40 i\n0,2,3 : 1\ncomponent -0.121 + 0.213 i\n0,2,3 : 1\n",
+    ),
 ]
 
 BUILD_GARDEN_SECTION = [
@@ -129,6 +182,20 @@ def test_golden_decompose(tmp_path, capsys, form, expected):
 @pytest.mark.parametrize("garden, expected", DIMCOUNT, ids=range(len(DIMCOUNT)))
 def test_golden_dimcount(tmp_path, capsys, garden, expected):
     assert run(tmp_path, capsys, ["dimcount", "--garden", "g"], {"g": garden}) == (0, expected)
+
+
+@pytest.mark.parametrize("divisor, transitions, hodge, code, expected", FEASIBLE,
+                         ids=range(len(FEASIBLE)))
+def test_golden_feasible(tmp_path, capsys, divisor, transitions, hodge, code, expected):
+    argv = ["feasible", "--divisor", "d", "--transitions", "t", "--hodge", "h"]
+    files = {"d": divisor, "t": transitions, "h": hodge}
+    assert run(tmp_path, capsys, argv, files) == (code, expected)
+
+
+@pytest.mark.parametrize("points, extra, expected", CHERN, ids=range(len(CHERN)))
+def test_golden_chern(tmp_path, capsys, points, extra, expected):
+    argv = ["chern", "--transitions", "t", *extra]
+    assert run(tmp_path, capsys, argv, {"t": sphere_point_text(points)}) == (0, expected)
 
 
 @pytest.mark.parametrize(
