@@ -29,6 +29,9 @@ class ModelError(ValueError):
 
 # identity of two torus points modulo the lattice
 SAME_POINT_TOL = 1e-9
+# moving a point this far out into a cell rounds it by up to about 1e-9
+# (a few units in the last place of |z|)
+MAX_TRANSLATE = 1e6
 
 
 def _grid(lo: float, hi: float, n: int) -> List[complex]:
@@ -80,6 +83,10 @@ class SphereModel:
     def basepoint_grid(self) -> List[complex]:
         return _grid(-2.0, 2.0, 17)
 
+    def evaluation_point(self, z: complex, anchor: complex) -> complex:
+        """Where a path from the anchor to evaluate at z ends: z itself."""
+        return z
+
     def audit_box(self, points: Sequence) -> Tuple[float, float, float, float]:
         finite = self.pole_sites(points) or [0j]
         xs = [p.real for p in finite]
@@ -107,6 +114,10 @@ class SphereModel:
     def symbolic_exactness(self, form: RationalForm) -> Optional[bool]:
         """Exact on the sphere iff every residue vanishes."""
         return sph.has_rational_antiderivative(form)
+
+    def eval_forms(self, forms: Sequence[RationalForm], z: np.ndarray) -> np.ndarray:
+        """Each form's values at the points, one row per form."""
+        return np.array([f.eval_complex(z) for f in forms])
 
     def third_kind(self, p, q) -> RationalForm:
         return sph.third_kind(p, q)
@@ -178,6 +189,18 @@ class TorusModel:
         tau = self.torus.tau
         return [st.real + st.imag * tau for st in _grid(0.02, 0.98, 13)]
 
+    def evaluation_point(self, z: complex, anchor: complex) -> complex:
+        """Where a path from the anchor to evaluate at z ends: z inside the
+        3 x 3 cells that `pole_sites` covers, else its translate in the
+        anchor's cell (only a single-valued integrand may use this)."""
+        z0, m, n = self.torus.reduce_point(z)
+        if max(abs(m), abs(n)) <= 1:
+            return z
+        if not abs(z) <= MAX_TRANSLATE:
+            raise ModelError(f"evaluation point {z} is farther than {MAX_TRANSLATE:g} from the cell")
+        _, m, n = self.torus.reduce_point(anchor)
+        return z0 + m + n * self.torus.tau
+
     def audit_box(self, points: Sequence) -> Tuple[float, float, float, float]:
         tau = self.torus.tau
         return (0.0, 1.0 + tau.real, 0.0, tau.imag)
@@ -207,6 +230,12 @@ class TorusModel:
 
     def symbolic_exactness(self, form: EllipticForm) -> Optional[bool]:
         return None  # no symbolic criterion on the torus
+
+    def eval_forms(self, forms: Sequence[EllipticForm], z: np.ndarray) -> np.ndarray:
+        """Each form's values at the points, one row per form, from one zeta
+        table over the union of their log poles."""
+        table = self.torus.zeta_table(z, [p for f in forms for p in f.zeta_poles()])
+        return np.array([f.eval_complex(z, table) for f in forms])
 
     def third_kind(self, p, q) -> EllipticForm:
         return tor.third_kind_torus(self.torus, complex(p), complex(q))

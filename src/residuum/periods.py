@@ -6,6 +6,14 @@ a basepoint.  Contour integrals run composite Gauss-Legendre panels with
 panel doubling until two successive refinements agree to the quadrature
 tolerance; short periods are cross-checked against exact residues, which
 is what makes the rest of the numeric tower trustworthy.
+
+Several forms on one loop are integrated in one pass: a `FormStack`
+evaluates them as one integrand with a row per form (on the torus, from
+one shared zeta table), and `contour_integral` lets each row converge on
+its own, stopping it at the panel count where a call on that form alone
+would stop, so every value is the same to the bit.  A pair's phi and psi,
+and the spanning forms of a garden, go through `stacked_period_vectors`
+this way; the one-form period functions are its case of one form.
 """
 
 from __future__ import annotations
@@ -56,7 +64,10 @@ class PathError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    pass
+    """An adaptive integral that did not converge.  Raised for a stacked
+    integrand, it carries each row's integral or error as `rows`."""
+
+    rows: Optional[list] = None
 
 
 class GardenError(ValueError):
@@ -257,7 +268,9 @@ def _gl_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _integrate_piece_fixed(func, piece: Piece, panels: int) -> Tuple[complex, float]:
+def _integrate_piece_fixed(func, piece: Piece, panels: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The rule's integral and absolute-value integral of the integrand, or
+    of each row of a stacked one (shape (k, N) on N points)."""
     x, w = _gl_rule(GL_NODES)
     edges = np.linspace(0.0, 1.0, panels + 1)
     starts, widths = edges[:-1], np.diff(edges)
@@ -265,48 +278,82 @@ def _integrate_piece_fixed(func, piece: Piece, panels: int) -> Tuple[complex, fl
     weights = (widths[:, None] * w[None, :]).ravel()
     z = piece.point(t)
     terms = func(z) * piece.velocity(t) * weights
-    return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+    return np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)
 
 
 ROUNDOFF_REL = 5e-14
 
 
 def contour_integral(
-    form_or_func: Union[Form, Callable],
+    form_or_func: Union[Form, FormStack, Callable],
     path: Path,
     tol: float = QUAD_TOL,
-) -> complex:
+) -> Union[complex, List[complex]]:
     """Adaptive composite Gauss-Legendre integral of f(z) dz along the path.
 
     Panel count doubles until two refinements agree within `tol` plus the
     double-precision roundoff floor of the absolute-value integral; raises
     QuadratureError at the panel cap (a pole too close to the path).
+
+    An integrand that returns shape (k, N) on N points gives a list of k
+    integrals.  Each row keeps its own test and is frozen at the panel
+    count where it converges, which is where a call on that row alone
+    stops; a row that fails leaves the rest running, and the first failed
+    row's error is raised with every row's outcome as `rows`.
     """
     func = form_or_func.eval_complex if hasattr(form_or_func, "eval_complex") else form_or_func
-    total = 0j
+    outcome: list = []  # per row: the running total, or the error that stopped it
     for piece in path.pieces:
         panels = 2
-        prev, _ = _integrate_piece_fixed(func, piece, panels)
-        while True:
+        first, _ = _integrate_piece_fixed(func, piece, panels)
+        if not outcome:
+            vector = np.ndim(first) == 1
+            outcome = [0j] * np.size(first)
+        prev = np.atleast_1d(first).tolist()
+        live = [i for i, v in enumerate(outcome) if not isinstance(v, QuadratureError)]
+        while live:
             panels *= 2
-            cur, rough = _integrate_piece_fixed(func, piece, panels)
-            if abs(cur - prev) < tol + ROUNDOFF_REL * rough:
-                total += cur
-                break
-            if panels >= MAX_PANELS:
-                raise QuadratureError(
-                    f"quadrature did not converge at {panels} panels "
-                    f"(last delta {abs(cur - prev):.3e}); pole too close to path?"
-                )
-            prev = cur
-    return total
+            cur, rough = (np.atleast_1d(v).tolist() for v in _integrate_piece_fixed(func, piece, panels))
+            still = []
+            for i in live:
+                if abs(cur[i] - prev[i]) < tol + ROUNDOFF_REL * rough[i]:
+                    outcome[i] += cur[i]
+                elif panels >= MAX_PANELS:
+                    outcome[i] = QuadratureError(
+                        f"quadrature did not converge at {panels} panels "
+                        f"(last delta {abs(cur[i] - prev[i]):.3e}); pole too close to path?"
+                    )
+                else:
+                    still.append(i)
+            live, prev = still, cur
+        failed = [v for v in outcome if isinstance(v, QuadratureError)]
+        if len(failed) == len(outcome):
+            break
+    if failed:
+        failed[0].rows = outcome
+        raise failed[0]
+    return outcome if vector else outcome[0]
 
 
 def fixed_contour_integral(form_or_func, path: Path, nodes_per_piece: int = 64) -> complex:
     """Non-adaptive composite rule (nodes_per_piece = panels x 16 nodes)."""
     func = form_or_func.eval_complex if hasattr(form_or_func, "eval_complex") else form_or_func
     panels = max(1, nodes_per_piece // GL_NODES)
-    return sum((_integrate_piece_fixed(func, p, panels)[0] for p in path.pieces), 0j)
+    return sum((complex(_integrate_piece_fixed(func, p, panels)[0]) for p in path.pieces), 0j)
+
+
+@dataclass(frozen=True)
+class FormStack:
+    """Forms on one model as one integrand: row i of `eval_complex(z)` is
+    form i's value at the points, so `contour_integral` integrates them all
+    in one pass.  On the torus the rows share one zeta table over the union
+    of the forms' log poles."""
+
+    model: Model
+    forms: Tuple[Form, ...]
+
+    def eval_complex(self, z) -> np.ndarray:
+        return self.model.eval_forms(self.forms, np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
 # -- gardens --------------------------------------------------------------------
@@ -425,8 +472,7 @@ def _check_form_in_garden(form: Form, garden: Garden) -> None:
 
 def long_period_vector(form: Form, garden: Garden, tol: float = QUAD_TOL) -> List[complex]:
     """Integrals of the form over the garden's loop basis (empty on the sphere)."""
-    _check_form_in_garden(form, garden)
-    return [contour_integral(form, loop, tol) for loop in garden.loop_basis]
+    return stacked_period_vectors([form], garden, tol, shorts=False)[0][0]
 
 
 def small_circle_radius(garden: Garden, index: int) -> float:
@@ -453,26 +499,70 @@ def short_period_vector(
     Computed by quadrature and cross-checked against 2 pi i times the exact
     residue; disagreement beyond 1e-9 raises QuadratureError.
     """
-    _check_form_in_garden(form, garden)
-    model = garden.model
-    out: List[complex] = []
-    for j, comp in enumerate(garden.components):
-        loop, at_infinity = _component_circle(garden, j)
-        expected = short_period_from_residue(model.residue(form, comp))
-        # the circle around infinity lies in the w = 1/z chart: f(z) dz = -f(1/w) / w^2 dw
-        target = (lambda w: -form.eval_complex(1.0 / w) / w**2) if at_infinity else form
-        quad = contour_integral(target, loop, tol)
-        if abs(quad - expected) > RESIDUE_AGREE_TOL:
-            raise QuadratureError(
-                f"small-circle integral {quad} disagrees with 2 pi i x residue "
-                f"{expected} at component {model.point_name(comp)}"
-            )
-        out.append(expected if model.exact_residues else quad)
-    return out
+    return stacked_period_vectors([form], garden, tol, longs=False)[0][1]
 
 
 def period_vectors(form: Form, garden: Garden, tol: float = QUAD_TOL) -> Tuple[List[complex], List[complex]]:
-    return long_period_vector(form, garden, tol), short_period_vector(form, garden, tol)
+    return stacked_period_vectors([form], garden, tol)[0]
+
+
+def stacked_period_vectors(
+    forms: Sequence[Form], garden: Garden, tol: float = QUAD_TOL,
+    longs: bool = True, shorts: bool = True,
+) -> List[Tuple[List[complex], List[complex]]]:
+    """(long, short) period vectors of each form, from one adaptive pass per
+    loop and per small circle for all the forms together.
+
+    Every form is checked to have its poles in the garden first.  Then the
+    values are read, and each path integrated when first needed, in the
+    order of one-form calls, so errors come in that order too: form by
+    form, long periods before short, and for each component the
+    quadrature before the 2 pi i x residue cross-check.
+    """
+    if not forms:
+        return []
+    model = garden.model
+    stack = FormStack(model, tuple(forms))
+    for form in stack.forms:
+        _check_form_in_garden(form, garden)
+
+    def chart(w):  # the circle around infinity lies in the w = 1/z chart: f(z) dz = -f(1/w) / w^2 dw
+        return -stack.eval_complex(1.0 / w) / w**2
+
+    jobs = [(stack, loop) for loop in garden.loop_basis] if longs else []
+    n_long = len(jobs)
+    if shorts:
+        for j in range(len(garden.components)):
+            loop, at_infinity = _component_circle(garden, j)
+            jobs.append((chart if at_infinity else stack, loop))
+    done: List[Optional[list]] = [None] * len(jobs)  # each row's integral or error
+
+    def value(job: int, row: int) -> complex:
+        if done[job] is None:
+            try:
+                done[job] = contour_integral(*jobs[job], tol)
+            except QuadratureError as e:
+                done[job] = e.rows
+        outcome = done[job][row]
+        if isinstance(outcome, QuadratureError):
+            raise outcome
+        return outcome
+
+    out = []
+    for i, form in enumerate(stack.forms):
+        long_i = [value(j, i) for j in range(n_long)]
+        short_i = []
+        for j, comp in enumerate(garden.components if shorts else ()):
+            expected = short_period_from_residue(model.residue(form, comp))
+            quad = value(n_long + j, i)
+            if abs(quad - expected) > RESIDUE_AGREE_TOL:
+                raise QuadratureError(
+                    f"small-circle integral {quad} disagrees with 2 pi i x residue "
+                    f"{expected} at component {model.point_name(comp)}"
+                )
+            short_i.append(expected if model.exact_residues else quad)
+        out.append((long_i, short_i))
+    return out
 
 
 def well_defined_residue_check(

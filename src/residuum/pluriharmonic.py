@@ -27,6 +27,7 @@ from .divisor import CDivisor
 from .exact import ExactComplex
 from .models import Form, third_kind
 from .periods import (
+    FormStack,
     Garden,
     GardenError,
     Path,
@@ -36,8 +37,8 @@ from .periods import (
     line,
     long_period_vector,
     period_tolerance,
-    period_vectors,
     prescribe_full,
+    stacked_period_vectors,
 )
 
 
@@ -93,13 +94,16 @@ def conjugate(form: Form, garden: Garden) -> AntiMeromorphicForm:
 
 @dataclass(frozen=True)
 class Pair:
-    """(Phi, Phi-hat) with componentwise negating period vectors."""
+    """(Phi, Phi-hat) with componentwise negating period vectors; Phi-hat's
+    periods are the conjugates of its underlying psi's."""
 
     phi: Form
     phi_hat: AntiMeromorphicForm
     garden: Garden
     long_phi: Tuple[complex, ...]
     short_phi: Tuple[complex, ...]
+    long_hat: Tuple[complex, ...]
+    short_hat: Tuple[complex, ...]
 
     @staticmethod
     def build(form: Form, garden: Garden, tol: Optional[float] = None) -> "Pair":
@@ -115,22 +119,25 @@ class Pair:
 
     @staticmethod
     def assemble(form: Form, hat: AntiMeromorphicForm, garden: Garden) -> "Pair":
-        longs, shorts = period_vectors(form, garden)
-        return Pair(form, hat, garden, tuple(longs), tuple(shorts))
+        """The pair with phi's and psi's periods, from one pass per loop."""
+        (longs, shorts), (longs_psi, shorts_psi) = stacked_period_vectors(
+            (form, hat.conjugate_of), garden
+        )
+        return Pair(
+            form, hat, garden, tuple(longs), tuple(shorts),
+            tuple(v.conjugate() for v in longs_psi), tuple(v.conjugate() for v in shorts_psi),
+        )
 
     def invariant_defects(self) -> List[float]:
         """|long(phi)+long(hat)| and |short(phi)+short(hat)| componentwise."""
-        from .periods import short_period_vector
-
-        longs_hat = [self.phi_hat.integrate(loop) for loop in self.garden.loop_basis]
-        shorts_psi = short_period_vector(self.phi_hat.conjugate_of, self.garden)
-        shorts_hat = [v.conjugate() for v in shorts_psi]
-        out = [abs(a + b) for a, b in zip(self.long_phi, longs_hat)]
-        out += [abs(a + b) for a, b in zip(self.short_phi, shorts_hat)]
+        out = [abs(a + b) for a, b in zip(self.long_phi, self.long_hat)]
+        out += [abs(a + b) for a, b in zip(self.short_phi, self.short_hat)]
         return out
 
     def integral(self, path: Path, tol: float = 1e-12) -> complex:
-        return contour_integral(self.phi, path, tol) + self.phi_hat.integrate(path, tol)
+        stack = FormStack(self.garden.model, (self.phi, self.phi_hat.conjugate_of))
+        phi, psi = contour_integral(stack, path, tol)
+        return phi + psi.conjugate()
 
 
 def _same_garden(g1: Garden, g2: Garden) -> bool:
@@ -163,7 +170,12 @@ def pairs_equivalent(pair1: Pair, pair2: Pair, tol: Optional[float] = None) -> b
 
 def evaluation_path(garden: Garden, z: complex, margin: Optional[float] = None) -> Path:
     """Deterministic basepoint-to-z path: straight segment with circular
-    detours around any pole site closer than the detour margin."""
+    detours around any pole site closer than the detour margin.
+
+    On the torus the pole sites cover the 3 x 3 cells around the
+    fundamental one, so a z outside them is first moved by a lattice
+    vector into the basepoint's cell; a pair's long periods cancel, so its
+    field takes the same value there."""
     sites = garden.pole_sites()
     if margin is None:
         margin = 0.05
@@ -173,9 +185,10 @@ def evaluation_path(garden: Garden, z: complex, margin: Optional[float] = None) 
                 if d > 1e-12:
                     margin = min(margin, 0.45 * d)
         margin = max(margin, garden.pole_margin)
-    if any(abs(z - p) < margin for p in sites):
+    end = garden.model.evaluation_point(z, garden.basepoint)
+    if any(abs(end - p) < margin for p in sites):
         raise GardenError(f"evaluation point {z} is within {margin} of a pole")
-    return detoured_segment(garden.basepoint, z, sites, margin)
+    return detoured_segment(garden.basepoint, end, sites, margin)
 
 
 @dataclass(frozen=True)
@@ -429,10 +442,7 @@ def period_matrix_rank(garden: Garden) -> Tuple[int, float]:
     """Independent check of the dimension count: numerical rank of the
     stacked (long, short) period rows of the canonical spanning pairs,
     with the singular-value gap certifying the threshold."""
-    rows = []
-    for form in spanning_forms(garden):
-        longs, shorts = period_vectors(form, garden)
-        rows.append([*longs, *shorts])
+    rows = [[*longs, *shorts] for longs, shorts in stacked_period_vectors(spanning_forms(garden), garden)]
     if not rows or not rows[0]:
         return 0, math.inf
     sigma = np.linalg.svd(np.array(rows, dtype=complex), compute_uv=False)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,12 +85,20 @@ def _finite(z, out: np.ndarray):
 
 
 def _blockwise(row_sum, z: np.ndarray, rows: int) -> np.ndarray:
-    """row_sum over the flattened points in blocks of ROW_BLOCK // rows."""
+    """row_sum over the flattened points in blocks of ROW_BLOCK // rows.
+
+    A lone last point joins the block before it: numpy sums the rows of a
+    one-column block pairwise and those of a wider block one by one, so
+    this keeps a point's value independent of the batch it came in (a
+    single point is still summed pairwise)."""
     flat = z.ravel()
     out = np.empty_like(flat)
     step = max(1, ROW_BLOCK // rows)
-    for i in range(0, flat.size, step):
-        out[i:i + step] = row_sum(flat[i:i + step])
+    starts = list(range(0, flat.size, step))
+    if len(starts) > 1 and flat.size - starts[-1] == 1:
+        starts.pop()
+    for i, j in zip(starts, starts[1:] + [flat.size]):
+        out[i:j] = row_sum(flat[i:j])
     return out.reshape(z.shape)
 
 
@@ -172,12 +180,20 @@ class Torus:
         return np.hypot(d.real, d.imag).min(axis=-1)
 
     def _reduce_off_lattice(self, z) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`_reduce` of points that must keep LATTICE_MARGIN from the lattice."""
+        """`_reduce` of points that must keep LATTICE_MARGIN from the lattice.
+
+        A lattice point m + n tau lies at least |Im z0 - n Im tau| from a
+        reduced z0, so only points within the margin of the cell's bottom
+        or top edge need the nine-point `_lattice_gap`."""
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         reduced, m, n = self._reduce(arr)
-        near = self._lattice_gap(reduced) < LATTICE_MARGIN
-        if np.any(near):
-            raise TorusError(f"point {arr[near][0]} is within {LATTICE_MARGIN} of a lattice point")
+        y = reduced.imag
+        edge = (y < LATTICE_MARGIN) | (np.abs(y - self.tau.imag) < LATTICE_MARGIN)
+        if edge.any():
+            near = np.zeros(arr.shape, dtype=bool)
+            near[edge] = self._lattice_gap(reduced[edge]) < LATTICE_MARGIN
+            if near.any():
+                raise TorusError(f"point {arr[near][0]} is within {LATTICE_MARGIN} of a lattice point")
         return reduced, m, n
 
     def reduce_point(self, z: complex) -> Tuple[complex, int, int]:
@@ -221,6 +237,13 @@ class Torus:
         """Weierstrass zeta; quasi-periodic with drops eta1, eta2."""
         reduced, m, n = self._reduce_off_lattice(z)
         return _finite(z, self._zeta_raw(reduced) + m * self.eta1 + n * self.eta2)
+
+    def zeta_table(self, z: np.ndarray, poles: Sequence[complex]) -> dict:
+        """{p: zeta(z - p)} for each distinct pole, from one `zeta` call."""
+        poles = list(dict.fromkeys(poles))
+        if not poles:
+            return {}
+        return dict(zip(poles, self.zeta(z - np.array(poles).reshape((-1,) + (1,) * z.ndim))))
 
     @np.errstate(all="ignore")
     def wp_deriv(self, z, k: int = 0):
@@ -348,17 +371,24 @@ class EllipticForm:
 
     # -- evaluation -----------------------------------------------------------
 
+    def zeta_poles(self) -> List[complex]:
+        """The poles of the zeta terms with a nonzero coefficient."""
+        return [p for p, r in self.log_terms if r != 0]
+
     @np.errstate(all="ignore")
-    def eval_complex(self, z):
-        """Coefficient function value at complex scalar / array arguments."""
+    def eval_complex(self, z, zeta_table: Optional[dict] = None):
+        """Coefficient function value at complex scalar / array arguments.
+
+        `zeta_table` maps each of `zeta_poles()` to zeta(z - p) on the
+        points (`Torus.zeta_table`, shared by the forms of a stack); without
+        it the form builds one for its own poles.  Terms add in order."""
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        if zeta_table is None:
+            zeta_table = self.torus.zeta_table(arr, self.zeta_poles())
         out = np.full(arr.shape, self.c0, dtype=complex)
-        logs = [(p, r) for p, r in self.log_terms if r != 0]
-        if logs:
-            # one zeta call on the stacked arr - p_j; terms added in order
-            poles = np.array([p for p, _ in logs]).reshape((-1,) + (1,) * arr.ndim)
-            for (_, r), zeta in zip(logs, self.torus.zeta(arr - poles)):
-                out = out + r * zeta
+        for p, r in self.log_terms:
+            if r != 0:
+                out = out + r * zeta_table[p]
         for p, order, c in self.second_terms:
             if c != 0:
                 out = out + c * self.torus.wp_deriv(arr - p, order - 2)

@@ -192,6 +192,41 @@ def test_pluriharm_build_eval_grid_audit(tmp_path, capsys):
     assert float(capsys.readouterr().out) < 1e-8
 
 
+# the prescribed form with residues (1, -1) on TORUS_GARDEN, made
+# self-conjugate by `normalize_pure_imaginary`
+TORUS_REAL_FORM = (
+    "torus-form\nc0 = -1.355615549974697 + 0.9889175704662541 i\n"
+    "log 0.2 + 0.3 i : 1.0 + 0.0 i\nlog 0.6 + 0.7 i : -1.0 + 0.0 i\n"
+)
+
+
+# 0.4 + 0.5 i moved by the lattice vectors 1000, 1000 tau and 7 - 1000 tau
+@pytest.mark.parametrize("at", ["1000.4 + 0.5 i", "300.4 + 1100.5 i", "-292.6 - 1099.5 i"])
+def test_torus_eval_far_outside_the_cells_matches_the_translate(tmp_path, capsys, at):
+    garden = write(tmp_path, "g.garden", TORUS_GARDEN)
+    form = write(tmp_path, "f.form", TORUS_REAL_FORM)
+    pair = str(tmp_path / "p.pair")
+    assert main(["pluriharm", "build", "--garden", garden, "--form", form, "--out", pair]) == 0
+    values = []
+    for z in ("0.4 + 0.5 i", at):
+        assert main(["pluriharm", "eval", "--pair", pair, "--at", z]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        values.append(float(out))
+    assert abs(values[1] - values[0]) < 1e-9
+
+
+@pytest.mark.parametrize("at", ["1000000.5 + 0.5 i", "1e308", "0.3 - 1e308 i"])
+def test_torus_eval_too_far_to_translate_exits2(tmp_path, capsys, at):
+    garden = write(tmp_path, "g.garden", TORUS_GARDEN)
+    form = write(tmp_path, "f.form", TORUS_REAL_FORM)
+    pair = str(tmp_path / "p.pair")
+    assert main(["pluriharm", "build", "--garden", garden, "--form", form, "--out", pair]) == 0
+    assert main(["pluriharm", "eval", "--pair", pair, "--at", at]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("is farther than 1e+06 from the cell\n") and err.count("\n") == 1
+
+
 def test_pluriharm_deterministic_output(tmp_path, capsys):
     garden = write(tmp_path, "g.garden", TORUS_GARDEN)
     div = write(tmp_path, "d.div", "1/5 + 3/10 i : 1\n3/5 + 7/10 i : -1\n")

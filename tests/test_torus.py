@@ -7,6 +7,8 @@ import mpmath
 from hypothesis import assume, example, given, settings, strategies as st
 
 from residuum.torus import (
+    LATTICE_MARGIN,
+    ROW_BLOCK,
     EllipticForm,
     Torus,
     TorusError,
@@ -271,3 +273,46 @@ def test_non_finite_value_raises_one_line():
         T.zeta(np.array([0.5, 1e308 + 0.3j]))
     with pytest.raises(TorusError, match=r"^value at \(0.5\+0.5j\) is not finite$"):
         EllipticForm(T, 0j, ((0.2 + 0.3j, 1e308), (0.6 + 0.7j, -1e308))).eval_complex(0.5 + 0.5j)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 2])
+def test_value_at_a_point_does_not_depend_on_its_batch(k):
+    # Im tau 0.6: zeta sums 12 rows (blocks of 341 points), wp^(k) 2 N + 1;
+    # a batch one point longer than whole blocks used to sum its last
+    # point's rows pairwise, and the rest one by one
+    torus = Torus(0.1 + 0.6j)
+    rows = torus.row_count(k) if k < 0 else 2 * torus.row_count(k) + 1
+    step = ROW_BLOCK // rows
+    rng = np.random.default_rng(3)
+    z = rng.uniform(0.1, 0.9, 2 * step + 2) + 1j * rng.uniform(0.05, 0.55, 2 * step + 2)
+    value = torus.zeta if k < 0 else (lambda w: torus.wp_deriv(w, k))
+    full = value(z)
+    for size in (2, step, step + 1, step + 2, 2 * step + 1):
+        assert np.array_equal(value(z[:size]), full[:size]), size
+        assert np.array_equal(value(z[-size:]), full[-size:]), size
+
+
+def test_off_lattice_guard_matches_the_nine_point_gap():
+    # lattice points, edge midpoints and interior points, each moved by
+    # 0 to 1e-7 in eight directions: the guard checks only points near the
+    # cell's bottom or top edge, and must reject exactly the points whose
+    # nine-point gap is under the margin
+    bases = [m + n * TAU for m in (-1, 0, 1, 2) for n in (-1, 0, 1, 2)]
+    bases += [0.5, 0.5 + TAU, TAU / 2, 1 + TAU / 2, 0.37 + 0.61 * TAU]
+    steps = [0.0, 5e-9, 9.999999e-9, 1e-8, 1.0000001e-8, 2e-8, 1e-7]
+    directions = [np.exp(0.25j * math.pi * d) for d in range(8)]
+    points = np.array([b + s * d for b in bases for s in steps for d in directions])
+    reduced, _, _ = T._reduce(points)
+    near = T._lattice_gap(reduced) < LATTICE_MARGIN
+    assert 0 < near.sum() < near.size
+    for z, expected in zip(points.tolist(), near.tolist()):
+        if expected:
+            with pytest.raises(TorusError, match="of a lattice point$"):
+                T._reduce_off_lattice(z)
+        else:
+            T._reduce_off_lattice(z)
+    with pytest.raises(TorusError) as batch:
+        T._reduce_off_lattice(points)
+    assert str(batch.value) == f"point {points[near][0]} is within {LATTICE_MARGIN} of a lattice point"
+    far = points[~near]
+    assert all(np.array_equal(a, b) for a, b in zip(T._reduce_off_lattice(far), T._reduce(far)))
