@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: cohomology, chern, feasible, prescribe, decompose, periods,
-pluriharm {build,eval,grid,audit}, dimcount.
+dimcount, pluriharm {build,eval,grid,audit}.
 
 Exit codes: 0 success (and `feasible` verdict), 1 infeasible, 2 bad input
 or file parse error, 3 inconclusive, 4 numeric failure.  Output is
@@ -182,80 +182,110 @@ def cmd_pluriharm(args) -> int:
     raise ValueError(f"unknown pluriharm action {args.action!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+MODES = ("concrete", "abstract")
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+# Each subcommand: its help line and its arguments, in help order; `cmd_<name>`
+# runs it.  `pluriharm` has no arguments of its own, only the actions below.
+COMMANDS = {
+    "cohomology": ("Betti numbers of a nerve file", (_arg("nerve_file"),)),
+    "chern": ("integer Chern 2-cocycles from transition data", (
+        _arg("--transitions", required=True),
+        _arg("--nerve", help="nerve file (required for abstract mode)"),
+        _arg("--mode", choices=MODES, help="expected transition mode"),
+        _arg("--all", action="store_true", help="print zero entries too"),
+    )),
+    "feasible": ("residue-prescription feasibility verdict", (
+        _arg("--divisor", required=True),
+        _arg("--transitions", required=True),
+        _arg("--hodge", required=True),
+        _arg("--nerve"),
+        _arg("--mode", choices=MODES, help="expected transition mode"),
+    )),
+    "prescribe": ("construct a form with given residues", (
+        _arg("--model", choices=("sphere", "torus"), required=True),
+        _arg("--divisor", required=True),
+        _arg("--tau", help="torus modulus, e.g. '0.3 + 1.1 i'"),
+        _arg("--cutoff", type=int, default=DEFAULT_CUTOFF),
+        _arg("--out"),
+    )),
+    "decompose": ("split a sphere form into log + second kind", (_arg("--form", required=True),)),
+    "periods": ("long and short period vectors", (
+        _arg("--garden", required=True),
+        _arg("--form", required=True),
+    )),
+    "dimcount": ("dimension of the pluriharmonic space mod T_G", (_arg("--garden", required=True),)),
+    "pluriharm": ("pluriharmonic pair construction and evaluation", None),
+}
+PLURIHARM_ACTIONS = {
+    "build": (_arg("--garden", required=True), _arg("--form", required=True), _arg("--out")),
+    "eval": (_arg("--pair", required=True), _arg("--at", required=True)),
+    "grid": (
+        _arg("--pair", required=True),
+        _arg("--window", required=True, help="x0,x1,y0,y1"),
+        _arg("--res", type=int, default=20),
+    ),
+    "audit": (
+        _arg("--pair", required=True),
+        _arg("--loops", type=int, default=30),
+        _arg("--seed", type=int, default=0),
+    ),
+}
+
+
+def _add_choices(parser: argparse.ArgumentParser, dest: str, table: dict, chosen: Optional[str]):
+    """The subparsers action; on a trimmed level its metavar still names
+    every choice, so that usage lines read as the full tree's."""
+    if chosen is None:
+        return parser.add_subparsers(dest=dest, required=True)
+    return parser.add_subparsers(dest=dest, required=True, metavar="{" + ",".join(table) + "}")
+
+
+def _add_leaf(sub, name: str, arguments, command: str, **options) -> None:
+    p = sub.add_parser(name, **options)
+    for flags, kwargs in arguments:
+        p.add_argument(*flags, **kwargs)
+    # looked up when the tree is built, so a rebinding of `cmd_<name>` is what runs
+    p.set_defaults(func=globals()[f"cmd_{command}"])
+
+
+def build_parser(command: Optional[str] = None, action: Optional[str] = None) -> argparse.ArgumentParser:
+    """The whole argparse tree, or only the path to `command` (and, for
+    `pluriharm`, to `action`) when that is named."""
     parser = argparse.ArgumentParser(
         prog="residuum",
         description="Residue prescription and pluriharmonic construction on model geometries",
         epilog="exit codes: 0 ok/feasible, 1 infeasible, 2 bad input, 3 inconclusive, 4 numeric failure",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cohomology", help="Betti numbers of a nerve file")
-    p.add_argument("nerve_file")
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("chern", help="integer Chern 2-cocycles from transition data")
-    p.add_argument("--transitions", required=True)
-    p.add_argument("--nerve", help="nerve file (required for abstract mode)")
-    p.add_argument("--mode", choices=("concrete", "abstract"), help="expected transition mode")
-    p.add_argument("--all", action="store_true", help="print zero entries too")
-    p.set_defaults(func=cmd_chern)
-
-    p = sub.add_parser("feasible", help="residue-prescription feasibility verdict")
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--transitions", required=True)
-    p.add_argument("--hodge", required=True)
-    p.add_argument("--nerve")
-    p.add_argument("--mode", choices=("concrete", "abstract"), help="expected transition mode")
-    p.set_defaults(func=cmd_feasible)
-
-    p = sub.add_parser("prescribe", help="construct a form with given residues")
-    p.add_argument("--model", choices=("sphere", "torus"), required=True)
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--tau", help="torus modulus, e.g. '0.3 + 1.1 i'")
-    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_prescribe)
-
-    p = sub.add_parser("decompose", help="split a sphere form into log + second kind")
-    p.add_argument("--form", required=True)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("periods", help="long and short period vectors")
-    p.add_argument("--garden", required=True)
-    p.add_argument("--form", required=True)
-    p.set_defaults(func=cmd_periods)
-
-    p = sub.add_parser("dimcount", help="dimension of the pluriharmonic space mod T_G")
-    p.add_argument("--garden", required=True)
-    p.set_defaults(func=cmd_dimcount)
-
-    p = sub.add_parser("pluriharm", help="pluriharmonic pair construction and evaluation")
-    psub = p.add_subparsers(dest="action", required=True)
-    b = psub.add_parser("build")
-    b.add_argument("--garden", required=True)
-    b.add_argument("--form", required=True)
-    b.add_argument("--out")
-    e = psub.add_parser("eval")
-    e.add_argument("--pair", required=True)
-    e.add_argument("--at", required=True)
-    g = psub.add_parser("grid")
-    g.add_argument("--pair", required=True)
-    g.add_argument("--window", required=True, help="x0,x1,y0,y1")
-    g.add_argument("--res", type=int, default=20)
-    a = psub.add_parser("audit")
-    a.add_argument("--pair", required=True)
-    a.add_argument("--loops", type=int, default=30)
-    a.add_argument("--seed", type=int, default=0)
-    for sp in (b, e, g, a):
-        sp.set_defaults(func=cmd_pluriharm)
-
+    sub = _add_choices(parser, "command", COMMANDS, command)
+    for name in COMMANDS if command is None else (command,):
+        help_text, arguments = COMMANDS[name]
+        if arguments is not None:
+            _add_leaf(sub, name, arguments, name, help=help_text)
+            continue
+        psub = _add_choices(sub.add_parser(name, help=help_text), "action", PLURIHARM_ACTIONS, action)
+        for act in PLURIHARM_ACTIONS if action is None else (action,):
+            _add_leaf(psub, act, PLURIHARM_ACTIONS[act], name)
     return parser
 
 
+def _parser_path(argv: List[str]) -> Tuple[Optional[str], Optional[str]]:
+    """The command and `pluriharm` action that argv names, each None unless
+    it is a known name; help and an unknown name meet the full tree."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    action = None
+    if command == "pluriharm" and len(argv) > 1 and argv[1] in PLURIHARM_ACTIONS:
+        action = argv[1]
+    return command, action
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_window_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_window_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(*_parser_path(argv)).parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as e:

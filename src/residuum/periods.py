@@ -268,14 +268,28 @@ def _gl_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+_PANEL_CACHE: dict = {}
+
+
+def _panel_rule(panels: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of the composite rule with `panels`
+    equal panels of GL_NODES points each, stored read-only."""
+    rule = _PANEL_CACHE.get(panels)
+    if rule is None:
+        x, w = _gl_rule(GL_NODES)
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        starts, widths = edges[:-1], np.diff(edges)
+        t = (starts[:, None] + widths[:, None] * x[None, :]).ravel()
+        weights = (widths[:, None] * w[None, :]).ravel()
+        t.flags.writeable = weights.flags.writeable = False
+        rule = _PANEL_CACHE[panels] = (t, weights)
+    return rule
+
+
 def _integrate_piece_fixed(func, piece: Piece, panels: int) -> Tuple[np.ndarray, np.ndarray]:
     """The rule's integral and absolute-value integral of the integrand, or
     of each row of a stacked one (shape (k, N) on N points)."""
-    x, w = _gl_rule(GL_NODES)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    starts, widths = edges[:-1], np.diff(edges)
-    t = (starts[:, None] + widths[:, None] * x[None, :]).ravel()
-    weights = (widths[:, None] * w[None, :]).ravel()
+    t, weights = _panel_rule(panels)
     z = piece.point(t)
     terms = func(z) * piece.velocity(t) * weights
     return np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)

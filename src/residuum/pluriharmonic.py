@@ -25,19 +25,19 @@ import numpy as np
 
 from .divisor import CDivisor
 from .exact import ExactComplex
-from .models import Form, third_kind
+from .models import Form, ModelError, prescribe_residues, third_kind
 from .periods import (
     FormStack,
     Garden,
     GardenError,
     Path,
+    PrescriptionError,
     circle,
     contour_integral,
     detoured_segment,
     line,
     long_period_vector,
     period_tolerance,
-    prescribe_full,
     stacked_period_vectors,
 )
 
@@ -76,19 +76,30 @@ def conjugate(form: Form, garden: Garden) -> AntiMeromorphicForm:
     sum under the classical residue normalization.  Residues stay in the
     model's own type, so sphere residues are conjugated exactly.
     """
-    residues = [garden.model.residue(form, comp) for comp in garden.components]
+    model = garden.model
+    residues = [model.residue(form, comp) for comp in garden.components]
     total = complex(sum(residues, 0j))
     if abs(total) > 1e-9:
         raise PairError(
             f"residue coefficients sum to {total:.3e}; no conjugate exists"
         )
-    b = long_period_vector(form, garden)
-    targets_long = [-v.conjugate() for v in b]
     divisor = CDivisor(
         garden.component_names,
         tuple(ExactComplex.coerce(r.conjugate()) for r in residues),
     )
-    psi = prescribe_full(targets_long, divisor, garden)
+    # `prescribe_full`, with the residue-only base integrated in phi's pass
+    try:
+        base = prescribe_residues(model, divisor)
+    except ValueError as e:  # a model error included
+        long_period_vector(form, garden)  # phi's quadrature errors come first
+        raise PrescriptionError(str(e)) from None
+    (b, _), (u, _) = stacked_period_vectors((form, base), garden, shorts=False)
+    try:
+        psi = model.fit_long_periods(
+            base, [-v.conjugate() for v in b], garden.components, lambda f: u, period_tolerance()
+        )
+    except ModelError as e:
+        raise PrescriptionError(str(e)) from None
     return AntiMeromorphicForm(psi)
 
 

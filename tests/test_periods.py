@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -427,3 +428,26 @@ def test_auto_basepoint_matches_scalar_search(model, coords):
 def test_auto_basepoint_ties_pick_the_first_candidate(model, points):
     sites = model.pole_sites([model.coerce_point(p) for p in points])
     assert _auto_basepoint(model, sites) == reference_basepoint(model, sites)
+
+
+def test_panel_rule_is_the_inline_layout_read_only():
+    from residuum.periods import GL_NODES, _PANEL_CACHE, _gl_rule, _panel_rule
+
+    x, w = _gl_rule(GL_NODES)
+    for panels in (2**k for k in range(11)):
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        starts, widths = edges[:-1], np.diff(edges)
+        t = (starts[:, None] + widths[:, None] * x[None, :]).ravel()
+        weights = (widths[:, None] * w[None, :]).ravel()
+        rule = _panel_rule(panels)
+        assert rule is _panel_rule(panels)
+        for got, want in zip(rule, (t, weights)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.5
+    # a refinement up to the panel cap and the winding rule add no panel count
+    with pytest.raises(QuadratureError):
+        contour_integral(lambda z: 1.0 / (z - 0.5) ** 2, Path([line(0, 1)]))
+    fixed_contour_integral(DZ_OVER_Z, circle(0, 1))
+    assert len(_PANEL_CACHE) <= 12

@@ -291,3 +291,21 @@ def test_numeric_one_zero_part_extraction():
 def test_spanning_forms_counts():
     assert len(spanning_forms(P01_GARDEN)) == 1
     assert len(spanning_forms(T_GARDEN)) == 3
+
+
+def test_conjugate_is_prescribe_full_with_one_pass_per_loop(monkeypatch):
+    from residuum import periods
+
+    div = T_GARDEN.divisor([ExactComplex(1, 2), ExactComplex(-1, -2)])
+    form = prescribe_residues(TMODEL, div)
+    targets = [-v.conjugate() for v in periods.long_period_vector(form, T_GARDEN)]
+    conj = T_GARDEN.divisor([ExactComplex(1, -2), ExactComplex(-1, 2)])
+    assert conjugate(form, T_GARDEN).conjugate_of == periods.prescribe_full(targets, conj, T_GARDEN)
+
+    calls = []
+    integrate = periods.contour_integral
+    monkeypatch.setattr(periods, "contour_integral", lambda *a: calls.append(a[1]) or integrate(*a))
+    Pair.build(form, T_GARDEN)
+    # phi with the residue-only base on the two loops, then phi with psi on
+    # the two loops and the two small circles
+    assert len(calls) == 6
