@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exact import ExactComplex, ONE, ZERO, _lines, format_exact, parse_exact
+from .exact import ExactComplex, ONE, ZERO, _lines
 
 Simplex = Tuple[int, ...]
 
@@ -364,42 +364,3 @@ def parse_nerve_text(text: str) -> Nerve:
         return validate_nerve(raw, maximal=maximal)
     except NerveError as e:
         raise NerveError(str(e)) from None
-
-
-def format_nerve_text(nerve: Nerve) -> str:
-    lines = []
-    for level in nerve.simplices:
-        for s in level:
-            lines.append(",".join(str(v) for v in s))
-    return "\n".join(lines) + "\n"
-
-
-def parse_cochain_text(text: str) -> Cochain:
-    """`degree k` header then `i1,...,ik+1 : <exact complex>` lines."""
-    degree = None
-    values: Dict[Simplex, ExactComplex] = {}
-    for lineno, body in _lines(text):
-        if degree is None:
-            parts = body.split()
-            if len(parts) != 2 or parts[0].lower() != "degree":
-                raise CochainError(f"line {lineno}: expected `degree k` header")
-            degree = int(parts[1])
-            continue
-        if ":" not in body:
-            raise CochainError(f"line {lineno}: expected `simplex : value`")
-        key, val = body.split(":", 1)
-        try:
-            simplex = tuple(int(p.strip()) for p in key.split(","))
-            values[simplex] = parse_exact(val)
-        except ValueError as e:
-            raise CochainError(f"line {lineno}: {e}") from None
-    if degree is None:
-        raise CochainError("missing `degree k` header")
-    return Cochain(degree, values)
-
-
-def format_cochain_text(cochain: Cochain) -> str:
-    lines = [f"degree {cochain.degree}"]
-    for s in sorted(cochain.values):
-        lines.append(f"{','.join(str(v) for v in s)} : {format_exact(cochain.values[s])}")
-    return "\n".join(lines) + "\n"

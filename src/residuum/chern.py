@@ -4,9 +4,10 @@ Two ways to feed the machinery:
 
 * concrete mode: a divisor component on the built-in 4-set cover of the
   sphere, with transition functions g_ij = f_i/f_j formed from local
-  defining functions.  The integer cocycle entries come from branch-fixed
-  logarithms: principal log at each edge base point, continued along a
-  declared path to the triangle's common point by integrating g'/g.
+  defining functions, each stored as the exponents of its linear factors.
+  The integer cocycle entries come from branch-fixed logarithms: principal
+  log at each edge base point, continued along a declared path to the
+  triangle's common point by integrating g'/g = sum m/(z - a).
 * abstract mode: explicit integers per 2-simplex on any nerve (checked to
   be a cocycle), for synthetic geometries.
 
@@ -32,9 +33,8 @@ from .cech import (
     standard_good_nerves,
 )
 from .divisor import CDivisor
-from .exact import ExactComplex, ONE, ZERO, _lines
+from .exact import ExactComplex, ZERO, _lines
 from .periods import Path, arc, fixed_contour_integral, line
-from .rational import Polynomial, RationalFunction, linear_roots
 from .sphere import SpherePoint, parse_sphere_point
 
 TWO_PI = 2.0 * math.pi
@@ -49,19 +49,22 @@ class TransitionError(ValueError):
 
 Edge = Tuple[int, int]
 Tri = Tuple[int, int, int]
+# a product of linear factors prod (z - a)^m as {a: m}, every m nonzero;
+# {} is the constant 1
+Factored = Mapping[ExactComplex, int]
 
 
 @dataclass(frozen=True)
 class ConcreteTransitions:
     """Edge transition functions with branch-continuation data.
 
-    For every edge (i, j): the rational function g_ij and a base point
-    a_ij in the double overlap.  For every triangle containing the edge:
-    a path from a_ij to the triangle's common evaluation point, staying
-    inside the double overlap.
+    For every edge (i, j): the transition function g_ij as the exponents of
+    its linear factors, and a base point a_ij in the double overlap.  For
+    every triangle containing the edge: a path from a_ij to the triangle's
+    common evaluation point, staying inside the double overlap.
     """
 
-    g: Mapping[Edge, RationalFunction]
+    g: Mapping[Edge, Factored]
     base_points: Mapping[Edge, complex]
     triple_points: Mapping[Tri, complex]
     paths: Mapping[Tuple[Edge, Tri], Path]
@@ -98,24 +101,24 @@ def _validate_abstract(data: TransitionData) -> Cochain:
     return cochain
 
 
-def _log_derivative(g: RationalFunction):
-    dg = g.derivative()
-    num = dg.num * g.den
-    den = dg.den * g.num
-
-    def func(z):
-        return num.eval_complex(z) / den.eval_complex(z)
-
-    return func
+def _quotient(f: Factored, g: Factored) -> Dict[ExactComplex, int]:
+    """f / g: exponents subtract, and factors whose exponent cancels drop."""
+    out = dict(f)
+    for a, m in g.items():
+        out[a] = out.get(a, 0) - m
+    return {a: m for a, m in out.items() if m}
 
 
-def _continued_log(g: RationalFunction, base: complex, path: Optional[Path], nodes: int) -> complex:
+def _continued_log(g: Factored, base: complex, path: Optional[Path], nodes: int) -> complex:
     """log g at the path's endpoint, principal branch at the base point and
     analytic continuation along the path."""
-    start = cmath.log(g.eval_complex(base))
+    factors = [(a.to_complex(), m) for a, m in g.items()]
+    start = cmath.log(math.prod((base - a) ** m for a, m in factors))
     if path is None:
         return start
-    return start + fixed_contour_integral(_log_derivative(g), path, nodes)
+    return start + fixed_contour_integral(
+        lambda z: sum(m / (z - a) for a, m in factors), path, nodes
+    )
 
 
 def _concrete_cocycle(data: TransitionData, nodes: int) -> Cochain:
@@ -199,11 +202,6 @@ def double_delta(
             return ObstructionClass(total, ())
     coords = _h2_space(nerve).coordinates(total)
     return ObstructionClass(total, tuple(coords))
-
-
-def coboundary_witness(nerve: Nerve, cocycle: Cochain) -> Optional[Cochain]:
-    """Exact 1-cochain y with d y = cocycle when the class vanishes."""
-    return _h2_space(nerve).coboundary_witness(cocycle)
 
 
 class Verdict(enum.Enum):
@@ -345,22 +343,20 @@ def sphere_cover_membership(point: SpherePoint, index: int) -> bool:
     )
 
 
-def _defining_functions(point: SpherePoint) -> Dict[int, RationalFunction]:
+def _defining_functions(point: SpherePoint) -> Dict[int, Factored]:
     """Local defining functions f_i of the point divisor on each U_i."""
-    one = RationalFunction.constant(1)
-    z_poly = Polynomial([ZERO, ONE])
-    fs: Dict[int, RationalFunction] = {}
+    fs: Dict[int, Factored] = {}
     for i in range(4):
         if not sphere_cover_membership(point, i):
-            fs[i] = one
+            fs[i] = {}
         elif point.is_infinity:
-            fs[i] = RationalFunction(Polynomial([ONE]), z_poly)  # 1/z, i == 0
+            fs[i] = {ZERO: -1}  # 1/z, i == 0
         elif i == 0:
             # (z - p)/z: holomorphic and nonvanishing at infinity, pole at
             # 0 which lies outside U0
-            fs[i] = RationalFunction(Polynomial([-point.value, ONE]), z_poly)
+            fs[i] = {point.value: 1, ZERO: -1}
         else:
-            fs[i] = RationalFunction(Polynomial([-point.value, ONE]))
+            fs[i] = {point.value: 1}
     return fs
 
 
@@ -399,10 +395,6 @@ def _cover_paths() -> Tuple[Dict[Edge, complex], Dict[Tri, complex], Dict[Tuple[
     return base, triple, paths
 
 
-def _singularities(g: RationalFunction) -> List[complex]:
-    return [root.to_complex() for poly in (g.num, g.den) for root, _ in linear_roots(poly)]
-
-
 def sphere_point_transitions(point, component: Optional[str] = None) -> TransitionData:
     """Concrete transition data for a point divisor on the built-in cover.
 
@@ -414,20 +406,15 @@ def sphere_point_transitions(point, component: Optional[str] = None) -> Transiti
     nerve = standard_good_nerves("sphere")
     fs = _defining_functions(point)
     base, triple, paths = _cover_paths()
-    g: Dict[Edge, RationalFunction] = {}
-    for (i, j) in nerve.k_simplices(1):
-        g[(i, j)] = fs[i] / fs[j]
+    g = {(i, j): _quotient(fs[i], fs[j]) for (i, j) in nerve.k_simplices(1)}
     # cocycle condition g_ij g_jk / g_ik = 1, checked exactly
     for tri in nerve.k_simplices(2):
         i, j, k = tri
-        prod = g[(i, j)] * g[(j, k)] / g[(i, k)]
-        if prod != RationalFunction.constant(1):
+        if _quotient(g[(i, j)], _quotient(g[(i, k)], g[(j, k)])):
             raise TransitionError(f"transition cocycle fails on triangle {tri}")
     for (edge, tri), path in paths.items():
-        gg = g[edge]
-        if gg.num.degree < 1 and gg.den.degree < 1:
-            continue
-        for s in _singularities(gg):
+        for a in g[edge]:
+            s = a.to_complex()
             if path.min_distance(s) < PATH_CLEARANCE or abs(base[edge] - s) < PATH_CLEARANCE:
                 raise TransitionError(
                     f"divisor point too close to the continuation path of edge {edge}; "
@@ -462,7 +449,10 @@ def parse_hodge_text(text: str) -> HodgeRecord:
         key, val = (p.strip() for p in body.split("=", 1))
         if key not in ("b1", "d_omega0", "h01", "h2"):
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        fields[key] = int(val)
+        try:
+            fields[key] = int(val)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     for key in ("b1", "d_omega0", "h01"):
         if key not in fields:
             raise ValueError(f"missing `{key} = n` line")

@@ -25,18 +25,28 @@ import numpy as np
 
 from .divisor import CDivisor
 from .exact import ExactComplex
-from .models import Form, ModelError, prescribe_residues, third_kind
+from .models import (
+    Form,
+    ModelError,
+    format_form_for_model,
+    parse_form_for_model,
+    prescribe_residues,
+    third_kind,
+)
 from .periods import (
     FormStack,
     Garden,
     GardenError,
     Path,
     PrescriptionError,
+    _component_circle,
     circle,
     contour_integral,
     detoured_segment,
+    format_garden_text,
     line,
     long_period_vector,
+    parse_garden_text,
     period_tolerance,
     stacked_period_vectors,
 )
@@ -262,10 +272,6 @@ def integrate_pair(pair: Pair, z: complex, path: Optional[Path] = None) -> float
     return PluriharmonicField(pair).real_value(z, path)
 
 
-def build_field(form: Form, garden: Garden) -> PluriharmonicField:
-    return PluriharmonicField(Pair.build(form, garden))
-
-
 def log_field(garden: Garden, coefficients: Sequence[complex]) -> PluriharmonicField:
     """The sphere field sum r_i log|z - p_i|^2 (+const), built exactly.
 
@@ -283,22 +289,9 @@ def log_field(garden: Garden, coefficients: Sequence[complex]) -> PluriharmonicF
         garden.component_names,
         tuple(ExactComplex.from_complex(c) for c in coeffs),
     )
-    from .models import prescribe_residues
-
     phi = prescribe_residues(garden.model, divisor)
     pair = Pair.assemble(phi, AntiMeromorphicForm(phi), garden)
     return PluriharmonicField(pair)
-
-
-def differentiate_field(field: PluriharmonicField) -> Form:
-    """The meromorphic form whose integral generated the field (the (1,0)
-    part of dh); exact for stored structures."""
-    return field.pair.phi
-
-
-def field_from_form(form: Form, garden: Garden) -> PluriharmonicField:
-    """Inverse of differentiation: conjugate the form and integrate."""
-    return build_field(form, garden)
 
 
 # -- audits -------------------------------------------------------------------
@@ -325,8 +318,6 @@ def _random_audit_loops(garden: Garden, n: int, seed: int) -> List[Path]:
 
 def audit_loops(garden: Garden, n_random: int, seed: int = 0) -> List[Path]:
     """Garden basis + one small circle per component + random circles."""
-    from .periods import _component_circle
-
     loops = list(garden.loop_basis)
     for j, comp in enumerate(garden.components):
         loop, at_infinity = _component_circle(garden, j)
@@ -403,9 +394,6 @@ def format_pair_text(pair: Pair) -> str:
     The anti-meromorphic side is stored through its meromorphic underlier;
     periods are re-measured (and the invariants re-checked) at load time.
     """
-    from .models import format_form_for_model
-    from .periods import format_garden_text
-
     chunks = [
         "[garden]\n",
         format_garden_text(pair.garden),
@@ -418,9 +406,6 @@ def format_pair_text(pair: Pair) -> str:
 
 
 def parse_pair_text(text: str) -> Pair:
-    from .models import parse_form_for_model
-    from .periods import parse_garden_text
-
     sections = {}
     current = None
     for raw in text.splitlines():

@@ -312,10 +312,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def constant(c) -> "RationalFunction":
-        return RationalFunction(Polynomial([ExactComplex.coerce(c)]))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -325,9 +321,6 @@ class RationalFunction:
             and self.num == other.num
             and self.den == other.den
         )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
@@ -346,12 +339,6 @@ class RationalFunction:
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
 
     def eval_complex(self, z):
         return self.num.eval_complex(z) / self.den.eval_complex(z)

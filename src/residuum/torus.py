@@ -269,12 +269,6 @@ class Torus:
             total = total - (pi * pi / 3.0) - 2.0 * (pi * pi) * self._csc2_sum
         return _finite(z, total)
 
-    def wp(self, z):
-        return self.wp_deriv(z, 0)
-
-    def wp_prime(self, z):
-        return self.wp_deriv(z, 1)
-
     def __repr__(self):
         return f"Torus(tau={self.tau!r}, cutoff={self.cutoff})"
 

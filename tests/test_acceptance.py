@@ -35,7 +35,6 @@ from residuum.periods import (
 from residuum.pluriharmonic import (
     Pair,
     PluriharmonicField,
-    build_field,
     laplacian_check,
     pairs_equivalent,
     period_matrix_rank,
@@ -216,7 +215,7 @@ def test_07_harmonicity():
         # torus field
         pts = [0.2 + 0.3j, 0.6 + 0.7j]
         tgarden = make_garden(TMODEL, pts)
-        tfield = build_field(third_kind_torus(TORUS, *pts), tgarden)
+        tfield = PluriharmonicField(Pair.build(third_kind_torus(TORUS, *pts), tgarden))
         h = 0.02
         sites = tgarden.pole_sites()
         box = (0.05, 1.0, 0.05, TAU.imag - 0.05)

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residuum.cech import (
+    CohomologySpace,
+    coboundary,
     fundamental_two_cycle,
     pair_with_cycle,
     standard_good_nerves,
@@ -15,18 +18,20 @@ from residuum.chern import (
     TransitionError,
     Verdict,
     chern_cocycle,
-    coboundary_witness,
     double_delta,
     has_property_h,
     kernel_dimension,
     parse_hodge_text,
     parse_transition_text,
     residue_feasible,
+    sphere_cover_membership,
     sphere_divisor_transitions,
     sphere_point_transitions,
 )
 from residuum.divisor import CDivisor
 from residuum.exact import ExactComplex, ONE, ZERO
+from residuum.rational import Polynomial, RationalFunction, linear_roots
+from residuum.sphere import SpherePoint
 
 SPHERE_NERVE = standard_good_nerves("sphere")
 TORUS_NERVE = standard_good_nerves("torus")
@@ -107,17 +112,14 @@ def test_winding_residual_rejected():
     # integers: log z continued along half the unit circle gives 1/2
     from residuum.chern import ConcreteTransitions
     from residuum.periods import Path, arc
-    from residuum.rational import Polynomial, RationalFunction
 
     nerve = validate_nerve([(0, 1, 2)], maximal=True)
-    one = RationalFunction.constant(1)
-    z_fn = RationalFunction(Polynomial([ZERO, ONE]))
     half_circle = Path([arc(0j, 1.0, 0.0, math.pi)])
     data = TransitionData(
         nerve,
         "W",
         concrete=ConcreteTransitions(
-            g={(0, 1): z_fn, (0, 2): one, (1, 2): one},
+            g={(0, 1): {ZERO: 1}, (0, 2): {}, (1, 2): {}},
             base_points={(0, 1): 1.0 + 0j, (0, 2): 1.0 + 0j, (1, 2): 1.0 + 0j},
             triple_points={(0, 1, 2): -1.0 + 0j},
             paths={((0, 1), (0, 1, 2)): half_circle},
@@ -125,6 +127,41 @@ def test_winding_residual_rejected():
     )
     with pytest.raises(TransitionError, match="residual"):
         chern_cocycle(data)
+
+
+def reference_defining_function(point, i):
+    """f_i on U_i as a reduced rational function: 1 off U_i, else z - p,
+    (z - p)/z on the cap U0, and 1/z for infinity."""
+    z = Polynomial([ZERO, ONE])
+    if not sphere_cover_membership(point, i):
+        return RationalFunction(Polynomial([ONE]))
+    if point.is_infinity:
+        return RationalFunction(Polynomial([ONE]), z)
+    linear = Polynomial([-point.value, ONE])
+    return RationalFunction(linear, z) if i == 0 else RationalFunction(linear)
+
+
+RATIONAL = st.fractions(min_value=-2, max_value=2, max_denominator=20)
+COVER_POINTS = st.one_of(
+    st.just(SpherePoint.infinity()),
+    st.builds(
+        lambda re, im: SpherePoint.finite(ExactComplex(re, im)), RATIONAL, RATIONAL
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(COVER_POINTS)
+def test_transitions_are_the_exponents_of_the_reduced_quotient(point):
+    # g_ij holds m for each root of the numerator of f_i / f_j and -m for
+    # each root of its denominator; the quotient's leading coefficient is 1
+    g = sphere_point_transitions(point).concrete.g
+    for i, j in SPHERE_NERVE.k_simplices(1):
+        q = reference_defining_function(point, i) / reference_defining_function(point, j)
+        assert q.num.leading() == ONE
+        exponents = {a: m for a, m in linear_roots(q.num)}
+        exponents.update({a: -m for a, m in linear_roots(q.den)})
+        assert g[(i, j)] == exponents
 
 
 def test_double_delta_zero_divisor():
@@ -139,10 +176,8 @@ def test_double_delta_difference_vanishes_with_witness():
     div = CDivisor.from_pairs([("p", ONE), ("q", -ONE)])
     cls = double_delta(div, [p, q])
     assert cls.is_zero()
-    witness = coboundary_witness(SPHERE_NERVE, cls.cocycle)
+    witness = CohomologySpace(SPHERE_NERVE, 2).coboundary_witness(cls.cocycle)
     assert witness is not None
-    from residuum.cech import coboundary
-
     assert coboundary(SPHERE_NERVE, witness).values == cls.cocycle.values
 
 
@@ -283,16 +318,14 @@ def test_parse_transition_text_mode_argument():
 def test_constant_concrete_transitions_zero_cocycle():
     # all g identically 1: every branch-fixed log is the zero branch
     from residuum.chern import ConcreteTransitions
-    from residuum.rational import RationalFunction
 
-    one = RationalFunction.constant(1)
     base = {e: 2.0 + 0j for e in SPHERE_NERVE.k_simplices(1)}
     triple = {t: 3.0 + 0j for t in SPHERE_NERVE.k_simplices(2)}
     data = TransitionData(
         SPHERE_NERVE,
         "flat",
         concrete=ConcreteTransitions(
-            g={e: one for e in SPHERE_NERVE.k_simplices(1)},
+            g={e: {} for e in SPHERE_NERVE.k_simplices(1)},
             base_points=base,
             triple_points=triple,
             paths={},

@@ -310,21 +310,25 @@ def sphere_pair(tmp_path):
     return pair
 
 
-@pytest.mark.parametrize("argv, files", [
-    (["pluriharm", "eval", "--pair", "{pair}", "--at", "1/0"], {}),
-    (["pluriharm", "eval", "--pair", "{pair}", "--at", "1e400"], {}),
-    (["pluriharm", "eval", "--pair", "{pair}", "--at", "1e308"], {}),
-    (["prescribe", "--model", "sphere", "--divisor", "{div}"], {"div": "a : 1/0\n"}),
-    (["dimcount", "--garden", "{garden}"], {"garden": "model sphere\ncomponent 0\ncomponent 1/0\n"}),
+@pytest.mark.parametrize("argv, files, err_head", [
+    (["pluriharm", "eval", "--pair", "{pair}", "--at", "1/0"], {}, "error: "),
+    (["pluriharm", "eval", "--pair", "{pair}", "--at", "1e400"], {}, "error: "),
+    (["pluriharm", "eval", "--pair", "{pair}", "--at", "1e308"], {}, "error: "),
+    (["prescribe", "--model", "sphere", "--divisor", "{div}"], {"div": "a : 1/0\n"}, "error: line 1: "),
+    (["dimcount", "--garden", "{garden}"], {"garden": "model sphere\ncomponent 0\ncomponent 1/0\n"},
+     "error: "),
+    (["feasible", "--divisor", "{div}", "--transitions", "{trans}", "--hodge", "{hodge}"],
+     {"div": PQ_DIVISOR, "trans": SPHERE_POINT_TRANSITIONS, "hodge": "# curve\nb1 = x\n"},
+     "error: line 2: "),
 ], ids=["at-zero-denominator", "at-beyond-double", "at-near-double-max", "divisor-zero-denominator",
-        "garden-zero-denominator"])
-def test_bad_literals_exit2(tmp_path, capsys, argv, files):
+        "garden-zero-denominator", "hodge-not-an-integer"])
+def test_bad_literals_exit2(tmp_path, capsys, argv, files, err_head):
     paths = {"pair": sphere_pair(tmp_path)}
     paths.update({name: write(tmp_path, name, text) for name, text in files.items()})
     capsys.readouterr()
     assert main([a.format(**paths) for a in argv]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert out == "" and err.startswith(err_head) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf", "0", "tight"])

@@ -19,8 +19,6 @@ from residuum.pluriharmonic import (
     PairError,
     PluriharmonicField,
     conjugate,
-    differentiate_field,
-    field_from_form,
     integrate_pair,
     laplacian_check,
     log_field,
@@ -237,19 +235,19 @@ def test_space_dim_torus(l, expected):
 
 def test_kappa_extracts_exact_form_from_log_field():
     field = log_field(P01_GARDEN, [1.0, -1.0])
-    assert differentiate_field(field) == third_kind(SPHERE, 0, 1)
+    assert field.pair.phi == third_kind(SPHERE, 0, 1)
 
 
 def test_kappa_constant_field_zero_form():
     g = make_garden(SPHERE, [0, 1])
     field = log_field(g, [0.0, 0.0])
-    assert differentiate_field(field).is_zero()
+    assert field.pair.phi.is_zero()
 
 
 def test_kappa_roundtrip_preserves_periods():
     form = third_kind(TMODEL, TP, TQ)
-    field = field_from_form(form, T_GARDEN)
-    back = differentiate_field(field)
+    field = PluriharmonicField(Pair.build(form, T_GARDEN))
+    back = field.pair.phi
     l1, s1 = period_vectors(form, T_GARDEN)
     l2, s2 = period_vectors(back, T_GARDEN)
     assert all(abs(a - b) < 1e-8 for a, b in zip(l1, l2))
@@ -264,8 +262,8 @@ def test_kappa_surjective_on_feasible_forms():
             [ExactComplex.from_complex(a), ExactComplex.from_complex(-a)]
         )
         form = prescribe_residues(TMODEL, div)
-        field = field_from_form(form, T_GARDEN)
-        back = differentiate_field(field)
+        field = PluriharmonicField(Pair.build(form, T_GARDEN))
+        back = field.pair.phi
         l1, s1 = period_vectors(form, T_GARDEN)
         l2, s2 = period_vectors(back, T_GARDEN)
         assert all(abs(x - y) < 1e-8 for x, y in zip(s1, s2))
@@ -275,7 +273,7 @@ def test_numeric_one_zero_part_extraction():
     # finite-difference (1,0)-part of dh matches the stored form: the field
     # h = integral of (phi + phi-hat) has dh/dz = phi's coefficient
     field = log_field(P01_GARDEN, [1.0, -1.0])
-    phi = differentiate_field(field)
+    phi = field.pair.phi
     rng = random.Random(3)
     h = 1e-5
     for _ in range(5):

@@ -70,15 +70,15 @@ def test_quasi_periods_consistent_at_independent_points():
 
 def test_wp_periodicity():
     z = 0.31 - 0.08j
-    assert abs(T.wp(z + 1) - T.wp(z)) < 1e-10
-    assert abs(T.wp(z + TAU) - T.wp(z)) < 1e-10
-    assert abs(T.wp_prime(z + 5 - 2 * TAU) - T.wp_prime(z)) < 1e-9
+    assert abs(T.wp_deriv(z + 1) - T.wp_deriv(z)) < 1e-10
+    assert abs(T.wp_deriv(z + TAU) - T.wp_deriv(z)) < 1e-10
+    assert abs(T.wp_deriv(z + 5 - 2 * TAU, 1) - T.wp_deriv(z, 1)) < 1e-9
 
 
 def test_wp_is_even_and_wp_prime_odd():
     z = 0.21 + 0.4j
-    assert abs(T.wp(-z) - T.wp(z)) < 1e-10
-    assert abs(T.wp_prime(-z) + T.wp_prime(z)) < 1e-10
+    assert abs(T.wp_deriv(-z) - T.wp_deriv(z)) < 1e-10
+    assert abs(T.wp_deriv(-z, 1) + T.wp_deriv(z, 1)) < 1e-10
 
 
 def test_wp_equals_minus_zeta_derivative():
@@ -86,15 +86,15 @@ def test_wp_equals_minus_zeta_derivative():
     z = 0.27 + 0.33j
     h = 1e-5
     dz = (T.zeta(z + h) - T.zeta(z - h)) / (2 * h)
-    assert abs(dz + T.wp(z)) < 1e-6
+    assert abs(dz + T.wp_deriv(z)) < 1e-6
 
 
 def test_wp_derivative_consistency():
     z = 0.41 + 0.12j
     h = 1e-5
-    approx = (T.wp(z + h) - T.wp(z - h)) / (2 * h)
-    assert abs(approx - T.wp_prime(z)) < 1e-5
-    approx2 = (T.wp_prime(z + h) - T.wp_prime(z - h)) / (2 * h)
+    approx = (T.wp_deriv(z + h) - T.wp_deriv(z - h)) / (2 * h)
+    assert abs(approx - T.wp_deriv(z, 1)) < 1e-5
+    approx2 = (T.wp_deriv(z + h, 1) - T.wp_deriv(z - h, 1)) / (2 * h)
     assert abs(approx2 - T.wp_deriv(z, 2)) < 1e-4
 
 
@@ -102,23 +102,23 @@ def test_laurent_leading_behavior():
     # zeta ~ 1/z and wp ~ 1/z^2 near the origin
     z = 1e-3 + 2e-3j
     assert abs(T.zeta(z) - 1.0 / z) < 1e-2
-    assert abs(T.wp(z) - 1.0 / z**2) < 1e-2
+    assert abs(T.wp_deriv(z) - 1.0 / z**2) < 1e-2
 
 
 def test_lattice_point_rejected():
     with pytest.raises(TorusError):
         T.zeta(0)
     with pytest.raises(TorusError):
-        T.wp(1 + TAU)
+        T.wp_deriv(1 + TAU)
 
 
 def test_vectorized_evaluation_matches_scalar():
     zs = np.array([0.1 + 0.2j, 0.4 - 0.1j, -0.3 + 0.5j])
     vz = T.zeta(zs)
-    vw = T.wp(zs)
+    vw = T.wp_deriv(zs)
     for i, z in enumerate(zs):
         assert abs(vz[i] - T.zeta(complex(z))) < 1e-12
-        assert abs(vw[i] - T.wp(complex(z))) < 1e-12
+        assert abs(vw[i] - T.wp_deriv(complex(z))) < 1e-12
 
 
 def test_elliptic_form_residue_bookkeeping():
