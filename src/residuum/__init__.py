@@ -32,6 +32,7 @@ from .models import SphereModel, TorusModel, prescribe_residues, second_kind, th
 from .periods import (
     Garden,
     contour_integral,
+    contour_integrals,
     is_exact,
     long_period_vector,
     make_garden,
@@ -88,6 +89,7 @@ __all__ = [
     "cohomology_dims",
     "conjugate",
     "contour_integral",
+    "contour_integrals",
     "decompose_kinds",
     "double_delta",
     "format_exact",

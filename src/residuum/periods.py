@@ -7,13 +7,19 @@ panel doubling until two successive refinements agree to the quadrature
 tolerance; short periods are cross-checked against exact residues, which
 is what makes the rest of the numeric tower trustworthy.
 
-Several forms on one loop are integrated in one pass: a `FormStack`
-evaluates them as one integrand with a row per form (on the torus, from
-one shared zeta table), and `contour_integral` lets each row converge on
-its own, stopping it at the panel count where a call on that form alone
-would stop, so every value is the same to the bit.  A pair's phi and psi,
+An integrand call costs about as much as a few hundred points, so paths
+and forms that can share calls do.  `contour_integrals` refines a list of
+paths in lockstep: every piece starts at 2 panels, all pieces double
+together, and each level puts the nodes of every piece that still has a
+live row into one integrand call (split at MAX_BATCH_POINTS points).  A
+`FormStack` evaluates several forms as one integrand with a row per form
+(on the torus, from one shared zeta table).  Each piece and row keeps the
+one-path convergence test and stops at the panel count where a call on
+that path and form alone would stop, so every value is the same to the
+bit; `contour_integral` is the case of one path.  A pair's phi and psi,
 and the spanning forms of a garden, go through `stacked_period_vectors`
-this way; the one-form period functions are its case of one form.
+this way, one batch for the loops and finite circles; the one-form period
+functions are its case of one form.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ from .torus import DEFAULT_CUTOFF
 QUAD_TOL = 1e-12
 MAX_PANELS = 1024
 GL_NODES = 16
+# points per integrand call in `contour_integrals`: a torus call this size
+# spends a tenth or less of its time on fixed cost, and its arrays are those
+# of a one-path call on a piece at 64 panels, whatever the batch size
+MAX_BATCH_POINTS = 1024
 HARD_POLE_MARGIN = 1e-3
 RESIDUE_AGREE_TOL = 1e-9
 TWO_PI_I = 2j * math.pi
@@ -315,37 +325,132 @@ def contour_integral(
     stops; a row that fails leaves the rest running, and the first failed
     row's error is raised with every row's outcome as `rows`.
     """
+    [outcome] = contour_integrals(form_or_func, [path], tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+@dataclass(slots=True)
+class _PieceRun:
+    """One piece's refinement in a lockstep batch: per row None while live,
+    then the frozen integral or its QuadratureError; `error` is what the
+    integrand raised on the piece's nodes, which ends its refinement."""
+
+    piece: Piece
+    rows: Optional[list] = None
+    live: Sequence[int] = ()
+    prev: Optional[list] = None
+    error: Optional[Exception] = None
+
+
+def contour_integrals(
+    form_or_func: Union[Form, FormStack, Callable],
+    paths: Sequence[Path],
+    tol: float = QUAD_TOL,
+) -> List[Union[complex, List[complex], Exception]]:
+    """`contour_integral` of one integrand along each path, refined in lockstep.
+
+    Every piece of every path starts at 2 panels and all of them double
+    together: at each level, the nodes of the pieces that still have a live
+    row go to the integrand together, in calls of at most MAX_BATCH_POINTS
+    points, and the values are split back per piece.  Each piece and row
+    keeps the one-path convergence test, freeze rule and panel cap, so the
+    nodes and each piece's sums are the same, and each path's outcome is
+    what `contour_integral` on that path alone returns or raises, to the
+    bit: its value, or the exception, for a failed row the QuadratureError
+    carrying `rows`, and for an integrand that raises, its exception on the
+    piece where the one-path call meets it.  The integrand must give a
+    point the same value whatever other points share its call, as the
+    models' integrands do on these calls.
+    """
     func = form_or_func.eval_complex if hasattr(form_or_func, "eval_complex") else form_or_func
-    outcome: list = []  # per row: the running total, or the error that stopped it
-    for piece in path.pieces:
-        panels = 2
-        first, _ = _integrate_piece_fixed(func, piece, panels)
-        if not outcome:
-            vector = np.ndim(first) == 1
-            outcome = [0j] * np.size(first)
-        prev = np.atleast_1d(first).tolist()
-        live = [i for i, v in enumerate(outcome) if not isinstance(v, QuadratureError)]
-        while live:
-            panels *= 2
-            cur, rough = (np.atleast_1d(v).tolist() for v in _integrate_piece_fixed(func, piece, panels))
-            still = []
-            for i in live:
-                if abs(cur[i] - prev[i]) < tol + ROUNDOFF_REL * rough[i]:
-                    outcome[i] += cur[i]
-                elif panels >= MAX_PANELS:
-                    outcome[i] = QuadratureError(
-                        f"quadrature did not converge at {panels} panels "
-                        f"(last delta {abs(cur[i] - prev[i]):.3e}); pole too close to path?"
-                    )
-                else:
-                    still.append(i)
-            live, prev = still, cur
-        failed = [v for v in outcome if isinstance(v, QuadratureError)]
-        if len(failed) == len(outcome):
+    runs = [_PieceRun(piece) for path in paths for piece in path.pieces]
+    pending, panels, vector = runs, 2, False
+    while pending:
+        for run, sums in zip(pending, _rule_sums(func, [run.piece for run in pending], panels)):
+            if isinstance(sums, Exception):
+                run.error = sums
+                continue
+            vector, cur, rough = sums
+            if run.prev is None:
+                run.rows, run.live = [None] * len(cur), range(len(cur))
+            else:
+                still = []
+                for i in run.live:
+                    if abs(cur[i] - run.prev[i]) < tol + ROUNDOFF_REL * rough[i]:
+                        run.rows[i] = cur[i]
+                    elif panels >= MAX_PANELS:
+                        run.rows[i] = QuadratureError(
+                            f"quadrature did not converge at {panels} panels "
+                            f"(last delta {abs(cur[i] - run.prev[i]):.3e}); pole too close to path?"
+                        )
+                    else:
+                        still.append(i)
+                run.live = still
+            run.prev = cur
+        pending = [run for run in pending if run.error is None and run.live]
+        panels *= 2
+    in_order = iter(runs)
+    return [_path_outcome([next(in_order) for _ in path.pieces], vector) for path in paths]
+
+
+def _rule_sums(func, pieces: Sequence[Piece], panels: int) -> list:
+    """Per piece, (vector, integrals, absolute-value integrals) of the rule
+    with `panels` panels, row by row, or the exception the integrand raises
+    on that piece's nodes alone.  Runs of pieces share one integrand call
+    of at most MAX_BATCH_POINTS points; a piece with more nodes takes
+    several."""
+    t, weights = _panel_rule(panels)
+    step = max(1, MAX_BATCH_POINTS // t.size)
+    out: list = []
+    for k in range(0, len(pieces), step):
+        chunk = pieces[k:k + step]
+        z = np.concatenate([p.point(t) for p in chunk])
+        try:
+            values = _evaluate(func, z)
+        except Exception as e:  # the integrand's own error: kept for the path whose piece raises it
+            out.extend([e] if len(chunk) == 1 else [_rule_sums(func, [p], panels)[0] for p in chunk])
+            continue
+        terms = values * np.concatenate([p.velocity(t) for p in chunk]) * np.tile(weights, len(chunk))
+        terms = terms.reshape(terms.shape[:-1] + (len(chunk), t.size))
+        sums, rough = np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)
+        vector = sums.ndim == 2
+        for j in range(len(chunk)):
+            out.append((vector, np.atleast_1d(sums[..., j]).tolist(), np.atleast_1d(rough[..., j]).tolist()))
+    return out
+
+
+def _evaluate(func, z: np.ndarray):
+    """func(z), in calls of at most MAX_BATCH_POINTS points."""
+    if z.size <= MAX_BATCH_POINTS:
+        return func(z)
+    return np.concatenate([func(z[i:i + MAX_BATCH_POINTS]) for i in range(0, z.size, MAX_BATCH_POINTS)], axis=-1)
+
+
+def _path_outcome(runs: Sequence[_PieceRun], vector: bool):
+    """A path's outcome from its pieces' runs, read as the one-path call
+    meets them: piece by piece, each row stopped at its first failure and
+    the path once every row has failed; an integrand error counts where a
+    row the one-path call still refines needed it."""
+    outcome = None
+    for run in runs:
+        if run.rows is None:
+            return run.error
+        if outcome is None:
+            outcome = [0j] * len(run.rows)
+        need = [i for i, v in enumerate(outcome) if not isinstance(v, QuadratureError)]
+        if any(run.rows[i] is None for i in need):
+            return run.error
+        for i in need:
+            v = run.rows[i]
+            outcome[i] = v if isinstance(v, QuadratureError) else outcome[i] + v
+        if all(isinstance(v, QuadratureError) for v in outcome):
             break
+    failed = [v for v in outcome if isinstance(v, QuadratureError)]
     if failed:
         failed[0].rows = outcome
-        raise failed[0]
+        return failed[0]
     return outcome if vector else outcome[0]
 
 
@@ -524,14 +629,14 @@ def stacked_period_vectors(
     forms: Sequence[Form], garden: Garden, tol: float = QUAD_TOL,
     longs: bool = True, shorts: bool = True,
 ) -> List[Tuple[List[complex], List[complex]]]:
-    """(long, short) period vectors of each form, from one adaptive pass per
-    loop and per small circle for all the forms together.
+    """(long, short) period vectors of each form, from one lockstep batch
+    (`contour_integrals`) for all the forms on the loops and finite small
+    circles, and one in the w = 1/z chart for the circle around infinity.
 
     Every form is checked to have its poles in the garden first.  Then the
-    values are read, and each path integrated when first needed, in the
-    order of one-form calls, so errors come in that order too: form by
-    form, long periods before short, and for each component the
-    quadrature before the 2 pi i x residue cross-check.
+    values are read in the order of one-form calls, so errors come in that
+    order too: form by form, long periods before short, and for each
+    component the quadrature before the 2 pi i x residue cross-check.
     """
     if not forms:
         return []
@@ -549,14 +654,16 @@ def stacked_period_vectors(
         for j in range(len(garden.components)):
             loop, at_infinity = _component_circle(garden, j)
             jobs.append((chart if at_infinity else stack, loop))
-    done: List[Optional[list]] = [None] * len(jobs)  # each row's integral or error
+    done: list = [None] * len(jobs)  # per job: its rows, or the error its integrand raised
+    for integrand in (stack, chart):
+        batch = [k for k, job in enumerate(jobs) if job[0] is integrand]
+        if batch:
+            for k, outcome in zip(batch, contour_integrals(integrand, [jobs[k][1] for k in batch], tol)):
+                done[k] = outcome.rows if isinstance(outcome, QuadratureError) else outcome
 
     def value(job: int, row: int) -> complex:
-        if done[job] is None:
-            try:
-                done[job] = contour_integral(*jobs[job], tol)
-            except QuadratureError as e:
-                done[job] = e.rows
+        if isinstance(done[job], Exception):
+            raise done[job]
         outcome = done[job][row]
         if isinstance(outcome, QuadratureError):
             raise outcome
@@ -678,9 +785,9 @@ def parse_garden_text(text: str) -> Garden:
     model_tag = None
     tau = None
     cutoff = DEFAULT_CUTOFF
-    components: List[str] = []
+    components: List[Tuple[int, str]] = []
     basepoint = None
-    loop_specs: List[Tuple[str, str]] = []
+    loop_specs: List[Tuple[int, str, str]] = []
     for lineno, body in _lines(text):
         try:
             if body.startswith("model"):
@@ -690,12 +797,12 @@ def parse_garden_text(text: str) -> Garden:
             elif body.startswith("cutoff"):
                 cutoff = int(body.split("=", 1)[1])
             elif body.startswith("component"):
-                components.append(body.split(None, 1)[1].strip())
+                components.append((lineno, body.split(None, 1)[1].strip()))
             elif body.startswith("basepoint"):
                 basepoint = parse_exact(body.split(None, 1)[1]).to_complex()
             elif body.startswith("loop"):
                 kind_rest = body.split(None, 2)
-                loop_specs.append((kind_rest[1], kind_rest[2] if len(kind_rest) > 2 else ""))
+                loop_specs.append((lineno, kind_rest[1], kind_rest[2] if len(kind_rest) > 2 else ""))
             else:
                 raise GardenError(f"line {lineno}: unknown directive {body!r}")
         except (IndexError, ValueError) as e:
@@ -706,9 +813,17 @@ def parse_garden_text(text: str) -> Garden:
         model = make_model(model_tag, tau, cutoff)
     except ModelError as e:
         raise GardenError(str(e)) from None
-    points = [model.parse_point(c) for c in components]
-    loops = [_parse_loop_spec(kind, rest, model) for kind, rest in loop_specs] or None
+    points = [_on_line(lineno, model.parse_point, c) for lineno, c in components]
+    loops = [_on_line(lineno, _parse_loop_spec, kind, rest, model) for lineno, kind, rest in loop_specs] or None
     return make_garden(model, points, basepoint=basepoint, loops=loops)
+
+
+def _on_line(lineno: int, parse, *args):
+    """parse(*args), with its error message prefixed by the file line."""
+    try:
+        return parse(*args)
+    except (IndexError, ValueError) as e:
+        raise GardenError(f"line {lineno}: {e}") from None
 
 
 def _parse_loop_spec(kind: str, rest: str, model: Model) -> Path:

@@ -16,10 +16,11 @@ gap).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .periods import (
     _component_circle,
     circle,
     contour_integral,
+    contour_integrals,
     detoured_segment,
     format_garden_text,
     line,
@@ -52,7 +54,8 @@ from .periods import (
 )
 
 
-# each grid point is an adaptive path integral, each audit loop one more
+# each grid point is an adaptive path integral, each audit loop one more;
+# `contour_integrals` refines them together in bounded integrand calls
 MAX_GRID_RES = 100
 MAX_AUDIT_LOOPS = 1000
 
@@ -160,6 +163,13 @@ class Pair:
         phi, psi = contour_integral(stack, path, tol)
         return phi + psi.conjugate()
 
+    def integrals(self, paths: Sequence[Path], tol: float = 1e-12) -> List[Union[complex, Exception]]:
+        """`integral` along each path, from one lockstep batch: per path the
+        value, or the exception that `integral` on it alone raises."""
+        stack = FormStack(self.garden.model, (self.phi, self.phi_hat.conjugate_of))
+        out = contour_integrals(stack, paths, tol)
+        return [v if isinstance(v, Exception) else v[0] + v[1].conjugate() for v in out]
+
 
 def _same_garden(g1: Garden, g2: Garden) -> bool:
     if g1 is g2:
@@ -226,9 +236,9 @@ class PluriharmonicField:
         """h(z), complex in general (real when the data is self-conjugate);
         h is 0 at the garden basepoint by definition."""
         if path is None:
-            if complex(z) == self.garden.basepoint:
+            path = self._path_to(complex(z))
+            if path is None:
                 return 0j
-            path = evaluation_path(self.garden, complex(z))
         else:
             if abs(path.start - self.garden.basepoint) > 1e-12:
                 raise PairError("evaluation path must start at the garden basepoint")
@@ -241,29 +251,53 @@ class PluriharmonicField:
         """h(z) checked to be real within tolerance; the mathematical field
         is real exactly when residues are real and long periods imaginary."""
         tol = period_tolerance() if tol is None else tol
-        w = self.value(z, path)
-        if abs(w.imag) > tol:
-            raise PairError(
-                f"imaginary residue {w.imag:.3e} exceeds {tol}; "
-                "the pair is not self-conjugate"
-            )
-        return w.real
+        return _real(self.value(z, path), tol)
+
+    def _path_to(self, z: complex) -> Optional[Path]:
+        """The evaluation path to z, or None at the basepoint, where h is 0."""
+        return None if z == self.garden.basepoint else evaluation_path(self.garden, z)
 
     def grid(self, window: Tuple[float, float, float, float], res: int) -> List[Tuple[float, float, float]]:
         """CSV-ready rows (x, y, h) over an res x res grid; pole-adjacent
-        points are skipped, and a pair that is not self-conjugate raises."""
+        points are skipped, and a pair that is not self-conjugate raises.
+        The evaluation paths are integrated in one lockstep batch, and the
+        first point in row order that fails raises its error."""
         if not 1 <= res <= MAX_GRID_RES:
             raise PairError(f"grid resolution {res} is outside [1, {MAX_GRID_RES}]")
         x0, x1, y0, y1 = window
+        tol = period_tolerance()
+        points, paths, deferred = [], [], None
+        for y, x in itertools.product(np.linspace(y0, y1, res), np.linspace(x0, x1, res)):
+            try:
+                path = self._path_to(complex(x, y))
+            except GardenError:
+                continue
+            except ValueError as e:  # raised after the points before it, as point by point
+                deferred = e
+                break
+            points.append((float(x), float(y), path is not None))
+            if path is not None:
+                paths.append(path)
+        values = iter(self.pair.integrals(paths))
         rows = []
-        for y in np.linspace(y0, y1, res):
-            for x in np.linspace(x0, x1, res):
-                z = complex(x, y)
-                try:
-                    rows.append((float(x), float(y), self.real_value(z)))
-                except GardenError:
-                    continue
+        for x, y, on_path in points:
+            w = next(values) if on_path else 0j
+            if isinstance(w, Exception):
+                raise w
+            rows.append((x, y, _real(w, tol)))
+        if deferred is not None:
+            raise deferred
         return rows
+
+
+def _real(w: complex, tol: float) -> float:
+    """w.real, once its imaginary part is checked to be below tol."""
+    if abs(w.imag) > tol:
+        raise PairError(
+            f"imaginary residue {w.imag:.3e} exceeds {tol}; "
+            "the pair is not self-conjugate"
+        )
+    return w.real
 
 
 def integrate_pair(pair: Pair, z: complex, path: Optional[Path] = None) -> float:
@@ -333,8 +367,10 @@ def well_definedness_audit(pair: Pair, n_random_loops: int = 20, seed: int = 0) 
     if not 0 <= n_random_loops <= MAX_AUDIT_LOOPS:
         raise PairError(f"random audit loop count {n_random_loops} is outside [0, {MAX_AUDIT_LOOPS}]")
     worst = 0.0
-    for loop in audit_loops(pair.garden, n_random_loops, seed):
-        worst = max(worst, abs(pair.integral(loop)))
+    for v in pair.integrals(audit_loops(pair.garden, n_random_loops, seed)):
+        if isinstance(v, Exception):
+            raise v
+        worst = max(worst, abs(v))
     return worst
 
 
@@ -350,15 +386,24 @@ def laplacian_check(
     keep distance > 10 * step from every pole.
     """
     sites = field.garden.pole_sites()
-    worst = 0.0
+    segments, too_close = [], None
     for s in samples:
         s = complex(s)
         if any(abs(s - p) <= 10 * step for p in sites):
-            raise GardenError(f"sample {s} closer than 10 steps to a pole")
+            too_close = GardenError(f"sample {s} closer than 10 steps to a pole")
+            break
+        segments += [Path([line(s, s + d)]) for d in (step, -step, 1j * step, -1j * step)]
+    values = field.pair.integrals(segments)
+    worst = 0.0
+    for k in range(0, len(values), 4):
         acc = 0j
-        for d in (step, -step, 1j * step, -1j * step):
-            acc += field.pair.integral(Path([line(s, s + d)]))
+        for v in values[k:k + 4]:
+            if isinstance(v, Exception):
+                raise v
+            acc += v
         worst = max(worst, abs(acc) / (step * step))
+    if too_close is not None:
+        raise too_close
     return worst
 
 

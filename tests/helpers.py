@@ -3,8 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from residuum.divisor import CDivisor
 from residuum.exact import ExactComplex, ONE, ZERO
+from residuum.periods import MAX_PANELS, QUAD_TOL, ROUNDOFF_REL, QuadratureError, _integrate_piece_fixed
 from residuum.rational import Polynomial
 from residuum.sphere import RationalForm
 
@@ -62,3 +65,41 @@ def random_cover_divisor(rng, force_zero_sum):
     else:
         coeffs.append(ExactComplex(rng.randint(-4, 4), rng.randint(-4, 4)))
     return CDivisor.from_pairs([(str(p), c) for p, c in zip(points, coeffs)])
+
+
+def reference_contour_integral(form_or_func, path, tol=QUAD_TOL):
+    """The one-path adaptive loop that `periods.contour_integrals` refines in
+    lockstep: each piece on its own, starting at 2 panels and doubling
+    until every live row has converged or failed at MAX_PANELS."""
+    func = form_or_func.eval_complex if hasattr(form_or_func, "eval_complex") else form_or_func
+    outcome: list = []  # per row: the running total, or the error that stopped it
+    for piece in path.pieces:
+        panels = 2
+        first, _ = _integrate_piece_fixed(func, piece, panels)
+        if not outcome:
+            vector = np.ndim(first) == 1
+            outcome = [0j] * np.size(first)
+        prev = np.atleast_1d(first).tolist()
+        live = [i for i, v in enumerate(outcome) if not isinstance(v, QuadratureError)]
+        while live:
+            panels *= 2
+            cur, rough = (np.atleast_1d(v).tolist() for v in _integrate_piece_fixed(func, piece, panels))
+            still = []
+            for i in live:
+                if abs(cur[i] - prev[i]) < tol + ROUNDOFF_REL * rough[i]:
+                    outcome[i] += cur[i]
+                elif panels >= MAX_PANELS:
+                    outcome[i] = QuadratureError(
+                        f"quadrature did not converge at {panels} panels "
+                        f"(last delta {abs(cur[i] - prev[i]):.3e}); pole too close to path?"
+                    )
+                else:
+                    still.append(i)
+            live, prev = still, cur
+        failed = [v for v in outcome if isinstance(v, QuadratureError)]
+        if len(failed) == len(outcome):
+            break
+    if failed:
+        failed[0].rows = outcome
+        raise failed[0]
+    return outcome if vector else outcome[0]

@@ -316,7 +316,7 @@ def sphere_pair(tmp_path):
     (["pluriharm", "eval", "--pair", "{pair}", "--at", "1e308"], {}, "error: "),
     (["prescribe", "--model", "sphere", "--divisor", "{div}"], {"div": "a : 1/0\n"}, "error: line 1: "),
     (["dimcount", "--garden", "{garden}"], {"garden": "model sphere\ncomponent 0\ncomponent 1/0\n"},
-     "error: "),
+     "error: line 3: "),
     (["feasible", "--divisor", "{div}", "--transitions", "{trans}", "--hodge", "{hodge}"],
      {"div": PQ_DIVISOR, "trans": SPHERE_POINT_TRANSITIONS, "hodge": "# curve\nb1 = x\n"},
      "error: line 2: "),

@@ -1,11 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from helpers import reference_contour_integral
 from residuum.exact import ExactComplex
 from residuum.models import SphereModel, TorusModel, prescribe_residues, third_kind
 from residuum.periods import (
+    GL_NODES,
     GardenError,
     Path,
     circle,
@@ -300,10 +303,29 @@ def test_conjugate_is_prescribe_full_with_one_pass_per_loop(monkeypatch):
     conj = T_GARDEN.divisor([ExactComplex(1, -2), ExactComplex(-1, 2)])
     assert conjugate(form, T_GARDEN).conjugate_of == periods.prescribe_full(targets, conj, T_GARDEN)
 
-    calls = []
-    integrate = periods.contour_integral
-    monkeypatch.setattr(periods, "contour_integral", lambda *a: calls.append(a[1]) or integrate(*a))
+    passes = []  # per lockstep batch: integrand, paths, and the size of each integrand call
+    batch = periods.contour_integrals
+
+    def counted(integrand, paths, tol):
+        sizes = []
+        passes.append((integrand, list(paths), sizes))
+        return batch(lambda z: sizes.append(np.size(z)) or integrand.eval_complex(z), paths, tol)
+
+    monkeypatch.setattr(periods, "contour_integrals", counted)
     Pair.build(form, T_GARDEN)
     # phi with the residue-only base on the two loops, then phi with psi on
     # the two loops and the two small circles
-    assert len(calls) == 6
+    calls = [path for _, paths, _ in passes for path in paths]
+    assert len(calls) == 6 and [len(paths) for _, paths, _ in passes] == [2, 4]
+    for integrand, paths, sizes in passes:
+        # one integrand call per refinement level, on the nodes that one call
+        # per path visits: call k holds whole pieces at 2^(k+1) panels, and
+        # there are as many calls as the slowest path has levels
+        alone = []
+        for path in paths:
+            points = []
+            reference_contour_integral(lambda z: points.append(np.size(z)) or integrand.eval_complex(z), path)
+            alone.append(points)
+        assert len(sizes) == max(len(points) for points in alone) < sum(len(points) for points in alone)
+        assert all(n % (GL_NODES * 2 ** (k + 1)) == 0 for k, n in enumerate(sizes))
+        assert sizes[0] == GL_NODES * 2 * len(paths) and sum(sizes) == sum(map(sum, alone))
