@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exact import ExactComplex, ONE, ZERO, _lines
+from .exact import ExactComplex, ONE, ZERO, _at_line, _lines
 
 Simplex = Tuple[int, ...]
 
@@ -39,7 +39,6 @@ class Nerve:
 
     vertex_count: int
     simplices: Tuple[Tuple[Simplex, ...], ...]
-    labels: Optional[Tuple[str, ...]] = None
 
     def k_simplices(self, k: int) -> Tuple[Simplex, ...]:
         if 0 <= k < len(self.simplices):
@@ -75,7 +74,6 @@ def validate_nerve(
     raw_simplices: Iterable[Sequence[int]],
     vertex_count: Optional[int] = None,
     maximal: bool = False,
-    labels: Optional[Sequence[str]] = None,
 ) -> Nerve:
     """Build a Nerve from raw simplex lists.
 
@@ -128,11 +126,7 @@ def validate_nerve(
     for level in levels:
         level.sort()
 
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != vertex_count:
-            raise NerveError("label count differs from vertex count")
-    return Nerve(vertex_count, tuple(tuple(level) for level in levels), labels)
+    return Nerve(vertex_count, tuple(tuple(level) for level in levels))
 
 
 @dataclass(frozen=True)
@@ -226,11 +220,7 @@ def standard_good_nerves(model_tag: str) -> Nerve:
     """Built-in good-cover nerves: `sphere` (tetrahedron boundary) or `torus`
     (3x3 toroidal grid, 9 vertices / 27 edges / 18 triangles)."""
     if model_tag == "sphere":
-        return validate_nerve(
-            [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
-            maximal=True,
-            labels=tuple(f"U{i}" for i in range(4)),
-        )
+        return validate_nerve([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], maximal=True)
     if model_tag == "torus":
         tris = []
         for r in range(3):
@@ -241,7 +231,7 @@ def standard_good_nerves(model_tag: str) -> Nerve:
                 diag = 3 * ((r + 1) % 3) + (c + 1) % 3
                 tris.append(tuple(sorted((a, right, down))))
                 tris.append(tuple(sorted((right, down, diag))))
-        return validate_nerve(tris, maximal=True, labels=tuple(f"U{i}" for i in range(9)))
+        return validate_nerve(tris, maximal=True)
     raise NerveError(f"unknown model tag {model_tag!r}")
 
 
@@ -356,11 +346,9 @@ def parse_nerve_text(text: str) -> Nerve:
         if body.lower() == "maximal":
             maximal = True
             continue
-        try:
-            raw.append(tuple(int(p.strip()) for p in body.split(",")))
-        except ValueError:
-            raise NerveError(f"line {lineno}: cannot parse simplex {body!r}") from None
-    try:
-        return validate_nerve(raw, maximal=maximal)
-    except NerveError as e:
-        raise NerveError(str(e)) from None
+        with _at_line(lineno, NerveError):
+            try:
+                raw.append(tuple(int(p.strip()) for p in body.split(",")))
+            except ValueError:
+                raise NerveError(f"cannot parse simplex {body!r}") from None
+    return validate_nerve(raw, maximal=maximal)

@@ -33,7 +33,7 @@ from .cech import (
     standard_good_nerves,
 )
 from .divisor import CDivisor
-from .exact import ExactComplex, ZERO, _lines
+from .exact import ExactComplex, ZERO, _at_line, _lines
 from .periods import Path, arc, fixed_contour_integral, line
 from .sphere import SpherePoint, parse_sphere_point
 
@@ -66,7 +66,6 @@ class ConcreteTransitions:
 
     g: Mapping[Edge, Factored]
     base_points: Mapping[Edge, complex]
-    triple_points: Mapping[Tri, complex]
     paths: Mapping[Tuple[Edge, Tri], Path]
 
 
@@ -360,17 +359,13 @@ def _defining_functions(point: SpherePoint) -> Dict[int, Factored]:
     return fs
 
 
-def _cover_paths() -> Tuple[Dict[Edge, complex], Dict[Tri, complex], Dict[Tuple[Edge, Tri], Path]]:
+def _cover_paths() -> Tuple[Dict[Edge, complex], Dict[Tuple[Edge, Tri], Path]]:
     base: Dict[Edge, complex] = {}
-    triple: Dict[Tri, complex] = {}
     paths: Dict[Tuple[Edge, Tri], Path] = {}
     for k, theta in _SECTOR_ANGLE.items():
         base[(0, k)] = _polar(_EDGE_BASE_RADIUS_CAP, theta)
     for (j, k), beta in _BAND_ANGLE.items():
         base[(j, k)] = _polar(_EDGE_BASE_RADIUS_BAND, beta)
-    triple[(1, 2, 3)] = 0j
-    for (j, k), beta in _BAND_ANGLE.items():
-        triple[(0, j, k)] = _polar(_TRIPLE_RADIUS_CAP, beta)
     # sector-sector edges: radial spokes to the center and out to the cap
     for (j, k), beta in _BAND_ANGLE.items():
         a = base[(j, k)]
@@ -392,7 +387,7 @@ def _cover_paths() -> Tuple[Dict[Edge, complex], Dict[Tri, complex], Dict[Tuple[
                 line(land, _polar(_TRIPLE_RADIUS_CAP, beta))
             ]
             paths[((0, k), tri)] = Path(pieces)
-    return base, triple, paths
+    return base, paths
 
 
 def sphere_point_transitions(point, component: Optional[str] = None) -> TransitionData:
@@ -405,7 +400,7 @@ def sphere_point_transitions(point, component: Optional[str] = None) -> Transiti
     point = SpherePoint.coerce(point)
     nerve = standard_good_nerves("sphere")
     fs = _defining_functions(point)
-    base, triple, paths = _cover_paths()
+    base, paths = _cover_paths()
     g = {(i, j): _quotient(fs[i], fs[j]) for (i, j) in nerve.k_simplices(1)}
     # cocycle condition g_ij g_jk / g_ik = 1, checked exactly
     for tri in nerve.k_simplices(2):
@@ -424,7 +419,7 @@ def sphere_point_transitions(point, component: Optional[str] = None) -> Transiti
     return TransitionData(
         nerve,
         name,
-        concrete=ConcreteTransitions(g, base, triple, paths),
+        concrete=ConcreteTransitions(g, base, paths),
     )
 
 
@@ -444,15 +439,13 @@ def parse_hodge_text(text: str) -> HodgeRecord:
     """Lines `b1 = n`, `d_omega0 = n`, `h01 = n`, optional `h2 = n`."""
     fields = {"h2": 0}
     for lineno, body in _lines(text):
-        if "=" not in body:
-            raise ValueError(f"line {lineno}: expected `key = value`")
-        key, val = (p.strip() for p in body.split("=", 1))
-        if key not in ("b1", "d_omega0", "h01", "h2"):
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        try:
+        with _at_line(lineno, ValueError):
+            if "=" not in body:
+                raise ValueError("expected `key = value`")
+            key, val = (p.strip() for p in body.split("=", 1))
+            if key not in ("b1", "d_omega0", "h01", "h2"):
+                raise ValueError(f"unknown key {key!r}")
             fields[key] = int(val)
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from None
     for key in ("b1", "d_omega0", "h01"):
         if key not in fields:
             raise ValueError(f"missing `{key} = n` line")
@@ -491,45 +484,44 @@ def parse_transition_text(
         current_name, current_values = None, {}
 
     for lineno, body in _lines(text):
-        lowered = body.lower()
-        if lowered.startswith("mode"):
-            header = lowered.split(None, 1)[1].strip() if len(lowered.split()) > 1 else ""
-            header = _MODE_ALIASES.get(header)
-            if header is None:
-                raise TransitionError(f"line {lineno}: unknown mode")
-            if forced is not None and header != forced:
-                raise TransitionError(
-                    f"line {lineno}: file mode {header!r} contradicts requested mode"
-                )
-            mode = header
-            continue
-        if mode is None:
-            raise TransitionError(f"line {lineno}: `mode ...` header required first")
-        if mode == "sphere-point":
-            if not body.startswith("component") or ":" not in body:
-                raise TransitionError(f"line {lineno}: expected `component NAME : point`")
-            head, val = body.split(":", 1)
-            name = head[len("component"):].strip()
-            point = parse_sphere_point(val)
-            out.append(sphere_point_transitions(point, component=name or str(point)))
-            continue
-        # abstract
-        if body.startswith("component"):
-            flush()
-            current_name = body[len("component"):].strip()
-            if not current_name:
-                raise TransitionError(f"line {lineno}: component needs a name")
-            continue
-        if current_name is None:
-            raise TransitionError(f"line {lineno}: `component NAME` header required")
-        if ":" not in body:
-            raise TransitionError(f"line {lineno}: expected `i,j,k : n`")
-        key, val = body.split(":", 1)
-        try:
-            tri = tuple(int(p.strip()) for p in key.split(","))
-            current_values[tri] = int(val.strip())
-        except ValueError:
-            raise TransitionError(f"line {lineno}: cannot parse {body!r}") from None
+        with _at_line(lineno, TransitionError):
+            lowered = body.lower()
+            if lowered.startswith("mode"):
+                header = lowered.split(None, 1)[1].strip() if len(lowered.split()) > 1 else ""
+                header = _MODE_ALIASES.get(header)
+                if header is None:
+                    raise TransitionError("unknown mode")
+                if forced is not None and header != forced:
+                    raise TransitionError(f"file mode {header!r} contradicts requested mode")
+                mode = header
+                continue
+            if mode is None:
+                raise TransitionError("`mode ...` header required first")
+            if mode == "sphere-point":
+                if not body.startswith("component") or ":" not in body:
+                    raise TransitionError("expected `component NAME : point`")
+                head, val = body.split(":", 1)
+                name = head[len("component"):].strip()
+                point = parse_sphere_point(val)
+                out.append(sphere_point_transitions(point, component=name or str(point)))
+                continue
+            # abstract
+            if body.startswith("component"):
+                flush()
+                current_name = body[len("component"):].strip()
+                if not current_name:
+                    raise TransitionError("component needs a name")
+                continue
+            if current_name is None:
+                raise TransitionError("`component NAME` header required")
+            if ":" not in body:
+                raise TransitionError("expected `i,j,k : n`")
+            key, val = body.split(":", 1)
+            try:
+                tri = tuple(int(p.strip()) for p in key.split(","))
+                current_values[tri] = int(val.strip())
+            except ValueError:
+                raise TransitionError(f"cannot parse {body!r}") from None
     if mode == "abstract":
         if nerve is None:
             raise TransitionError("abstract transition data needs a nerve")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import ExactComplex, ZERO, _lines, parse_exact
+from .exact import ExactComplex, ZERO, _at_line, _lines, parse_exact
 
 
 class DivisorError(ValueError):
@@ -74,18 +74,12 @@ def parse_divisor_text(text: str) -> CDivisor:
     """Lines `name : coefficient` with exact or decimal coefficient literals."""
     pairs: List[Tuple[str, ExactComplex]] = []
     for lineno, body in _lines(text):
-        if ":" not in body:
-            raise DivisorError(f"line {lineno}: expected `name : coefficient`")
-        name, val = body.split(":", 1)
-        name = name.strip()
-        if not name:
-            raise DivisorError(f"line {lineno}: empty component name")
-        try:
-            coeff = parse_exact(val)
-        except ValueError as e:
-            raise DivisorError(f"line {lineno}: {e}") from None
-        pairs.append((name, coeff))
-    try:
-        return CDivisor.from_pairs(pairs)
-    except DivisorError as e:
-        raise DivisorError(str(e)) from None
+        with _at_line(lineno, DivisorError):
+            if ":" not in body:
+                raise DivisorError("expected `name : coefficient`")
+            name, val = body.split(":", 1)
+            name = name.strip()
+            if not name:
+                raise DivisorError("empty component name")
+            pairs.append((name, parse_exact(val)))
+    return CDivisor.from_pairs(pairs)

@@ -11,7 +11,7 @@ import cmath
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Tuple, Type, Union
 
 Rat = Union[int, Fraction]
 
@@ -233,11 +233,33 @@ def format_complex(z: complex) -> str:
 
 def _lines(text: str) -> Iterator[Tuple[int, str]]:
     """(line number, body) of each line of a text file format, with its
-    `#` comment cut off and blank lines skipped."""
+    `#` comment cut off and blank lines skipped.  Numbers count every line
+    of the text from 1, so a reader handed a section of a larger file with
+    the other lines left blank numbers its lines as in the file."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield lineno, body
+
+
+class _at_line:
+    """`with _at_line(lineno, error):` around the reading of one line: a
+    ValueError or IndexError raised inside leaves as `error`, its message
+    headed `line N: `.  This is the one place a text reader names a file
+    line; errors of no single line are raised outside it, unheaded."""
+
+    __slots__ = ("lineno", "error")
+
+    def __init__(self, lineno: int, error: Type[ValueError]):
+        self.lineno, self.error = lineno, error
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, e, tb) -> None:
+        if isinstance(e, (IndexError, ValueError)):
+            lineno = self.lineno
+            raise self.error(f"line {lineno}: {e}") from None
 
 
 _TERM = re.compile(
@@ -265,9 +287,9 @@ def parse_exact(text: str) -> ExactComplex:
     while pos < len(s):
         m = _TERM.match(s, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"bad complex literal {text!r} at offset {pos}")
+            raise ValueError(f"bad complex literal {s!r} at offset {pos}")
         if not first and not m.group("sign"):
-            raise ValueError(f"missing +/- between terms in {text!r}")
+            raise ValueError(f"missing +/- between terms in {s!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("ibare"):
             coeff, imaginary = Fraction(1), True
@@ -275,15 +297,15 @@ def parse_exact(text: str) -> ExactComplex:
             try:
                 coeff = Fraction(m.group("coeff"))
             except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {text!r}") from None
+                raise ValueError(f"zero denominator in {s!r}") from None
             imaginary = bool(m.group("iflag"))
         if imaginary:
             if im_part is not None:
-                raise ValueError(f"repeated imaginary term in {text!r}")
+                raise ValueError(f"repeated imaginary term in {s!r}")
             im_part = sign * coeff
         else:
             if re_part is not None:
-                raise ValueError(f"repeated real term in {text!r}")
+                raise ValueError(f"repeated real term in {s!r}")
             re_part = sign * coeff
         pos = m.end()
         first = False

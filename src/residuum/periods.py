@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .divisor import CDivisor
-from .exact import ExactComplex, _lines, format_complex, parse_exact
+from .exact import ExactComplex, _at_line, _lines, format_complex, parse_exact
 from .models import Form, Model, ModelError, make_model, prescribe_residues
 from .sphere import SpherePoint
 from .torus import DEFAULT_CUTOFF
@@ -789,13 +789,13 @@ def parse_garden_text(text: str) -> Garden:
     basepoint = None
     loop_specs: List[Tuple[int, str, str]] = []
     for lineno, body in _lines(text):
-        try:
+        with _at_line(lineno, GardenError):
             if body.startswith("model"):
                 model_tag = body.split(None, 1)[1].strip()
             elif body.startswith("tau"):
                 tau = parse_exact(body.split("=", 1)[1]).to_complex()
             elif body.startswith("cutoff"):
-                cutoff = int(body.split("=", 1)[1])
+                cutoff = int(body.split("=", 1)[1].strip())
             elif body.startswith("component"):
                 components.append((lineno, body.split(None, 1)[1].strip()))
             elif body.startswith("basepoint"):
@@ -804,26 +804,21 @@ def parse_garden_text(text: str) -> Garden:
                 kind_rest = body.split(None, 2)
                 loop_specs.append((lineno, kind_rest[1], kind_rest[2] if len(kind_rest) > 2 else ""))
             else:
-                raise GardenError(f"line {lineno}: unknown directive {body!r}")
-        except (IndexError, ValueError) as e:
-            raise GardenError(f"line {lineno}: {e}") from None
+                raise GardenError(f"unknown directive {body!r}")
     if model_tag is None:
         raise GardenError("garden file needs a `model sphere|torus` line")
     try:
         model = make_model(model_tag, tau, cutoff)
     except ModelError as e:
         raise GardenError(str(e)) from None
-    points = [_on_line(lineno, model.parse_point, c) for lineno, c in components]
-    loops = [_on_line(lineno, _parse_loop_spec, kind, rest, model) for lineno, kind, rest in loop_specs] or None
-    return make_garden(model, points, basepoint=basepoint, loops=loops)
-
-
-def _on_line(lineno: int, parse, *args):
-    """parse(*args), with its error message prefixed by the file line."""
-    try:
-        return parse(*args)
-    except (IndexError, ValueError) as e:
-        raise GardenError(f"line {lineno}: {e}") from None
+    points, loops = [], []
+    for lineno, c in components:
+        with _at_line(lineno, GardenError):
+            points.append(model.parse_point(c))
+    for lineno, kind, rest in loop_specs:
+        with _at_line(lineno, GardenError):
+            loops.append(_parse_loop_spec(kind, rest, model))
+    return make_garden(model, points, basepoint=basepoint, loops=loops or None)
 
 
 def _parse_loop_spec(kind: str, rest: str, model: Model) -> Path:

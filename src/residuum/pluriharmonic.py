@@ -20,12 +20,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .divisor import CDivisor
-from .exact import ExactComplex
+from .exact import ExactComplex, _at_line, _lines
 from .models import (
     Form,
     ModelError,
@@ -450,18 +450,29 @@ def format_pair_text(pair: Pair) -> str:
     return "".join(chunks)
 
 
+_PAIR_SECTIONS = ("garden", "phi", "psi")
+
+
 def parse_pair_text(text: str) -> Pair:
-    sections = {}
+    """Read a pair descriptor.  Each section goes to its reader with the
+    other lines blanked, so that reader's errors name lines of the file."""
+    sections: Dict[str, List[str]] = {}
     current = None
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1]
-            sections[current] = []
-            continue
-        if current is not None:
-            sections[current].append(raw)
-    for needed in ("garden", "phi", "psi"):
+    for lineno, body in _lines(text):
+        with _at_line(lineno, PairError):
+            if body.startswith("[") and body.endswith("]"):
+                current = body[1:-1]
+                if current not in _PAIR_SECTIONS:
+                    raise PairError(f"unknown section {body}")
+                if current in sections:
+                    raise PairError(f"repeated section {body}")
+                sections[current] = []
+            elif current is None:
+                raise PairError("expected a [garden], [phi] or [psi] section header")
+            else:
+                lines = sections[current]
+                lines += [""] * (lineno - 1 - len(lines)) + [body]
+    for needed in _PAIR_SECTIONS:
         if needed not in sections:
             raise PairError(f"pair file missing [{needed}] section")
     garden = parse_garden_text("\n".join(sections["garden"]))

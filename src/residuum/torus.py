@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import _lines, format_complex, parse_exact
+from .exact import _at_line, _lines, format_complex, parse_exact
 
 TWO_PI_I = 2j * math.pi
 LATTICE_MARGIN = 1e-8
@@ -428,7 +428,7 @@ def parse_elliptic_form_text(text: str, torus: Torus) -> EllipticForm:
         if body == "torus-form":
             saw_header = True
             continue
-        try:
+        with _at_line(lineno, TorusError):
             if body.startswith("c0"):
                 c0 = parse_exact(body.split("=", 1)[1]).to_complex()
             elif body.startswith("log"):
@@ -444,11 +444,7 @@ def parse_elliptic_form_text(text: str, torus: Torus) -> EllipticForm:
                     )
                 )
             else:
-                raise TorusError(f"line {lineno}: unknown directive {body!r}")
-        except (IndexError, ValueError) as e:
-            if isinstance(e, TorusError):
-                raise
-            raise TorusError(f"line {lineno}: {e}") from None
+                raise TorusError(f"unknown directive {body!r}")
     if not saw_header:
         raise TorusError("missing `torus-form` header")
     return EllipticForm(torus, c0, tuple(logs), tuple(seconds))

@@ -121,7 +121,6 @@ def test_winding_residual_rejected():
         concrete=ConcreteTransitions(
             g={(0, 1): {ZERO: 1}, (0, 2): {}, (1, 2): {}},
             base_points={(0, 1): 1.0 + 0j, (0, 2): 1.0 + 0j, (1, 2): 1.0 + 0j},
-            triple_points={(0, 1, 2): -1.0 + 0j},
             paths={((0, 1), (0, 1, 2)): half_circle},
         ),
     )
@@ -320,14 +319,12 @@ def test_constant_concrete_transitions_zero_cocycle():
     from residuum.chern import ConcreteTransitions
 
     base = {e: 2.0 + 0j for e in SPHERE_NERVE.k_simplices(1)}
-    triple = {t: 3.0 + 0j for t in SPHERE_NERVE.k_simplices(2)}
     data = TransitionData(
         SPHERE_NERVE,
         "flat",
         concrete=ConcreteTransitions(
             g={e: {} for e in SPHERE_NERVE.k_simplices(1)},
             base_points=base,
-            triple_points=triple,
             paths={},
         ),
     )

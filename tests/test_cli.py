@@ -180,8 +180,14 @@ def test_pluriharm_build_eval_grid_audit(tmp_path, capsys):
     assert main(["pluriharm", "build", "--garden", garden, "--form", form, "--out", pair_file]) == 0
 
     assert main(["pluriharm", "eval", "--pair", pair_file, "--at", "2"]) == 0
-    value = float(capsys.readouterr().out)
-    assert abs(value - math.log(4.0)) < 1e-8
+    plain = capsys.readouterr().out
+    assert abs(float(plain) - math.log(4.0)) < 1e-8
+    # comments and blank lines between and inside sections change nothing
+    text = (tmp_path / "p.pair").read_text()
+    text = text.replace("[phi]", "\n# the form\n[phi]  # phi").replace("[psi]", "\n[psi]\n\n")
+    commented = write(tmp_path, "c.pair", "# a pair\n\n" + text)
+    assert main(["pluriharm", "eval", "--pair", commented, "--at", "2"]) == 0
+    assert capsys.readouterr() == (plain, "")
 
     assert main(["pluriharm", "grid", "--pair", pair_file, "--window", "2,3,0,1", "--res", "3"]) == 0
     grid_out = capsys.readouterr().out.splitlines()
@@ -310,6 +316,11 @@ def sphere_pair(tmp_path):
     return pair
 
 
+TORUS_PAIR_HEAD = "[garden]\n" + TORUS_GARDEN + "basepoint 1/2 + 1/2 i\n[phi]\ntorus-form\n"
+SPHERE_PAIR_GARDEN = "[garden]\nmodel sphere\ncomponent 0\ncomponent 1\n"
+PAIR_EVAL = ["pluriharm", "eval", "--pair", "{p}", "--at", "2"]
+
+
 @pytest.mark.parametrize("argv, files, err_head", [
     (["pluriharm", "eval", "--pair", "{pair}", "--at", "1/0"], {}, "error: "),
     (["pluriharm", "eval", "--pair", "{pair}", "--at", "1e400"], {}, "error: "),
@@ -320,8 +331,34 @@ def sphere_pair(tmp_path):
     (["feasible", "--divisor", "{div}", "--transitions", "{trans}", "--hodge", "{hodge}"],
      {"div": PQ_DIVISOR, "trans": SPHERE_POINT_TRANSITIONS, "hodge": "# curve\nb1 = x\n"},
      "error: line 2: "),
+    (["cohomology", "{nerve}"], {"nerve": "0,1\n# c\n0,x\n"}, "error: line 3: cannot parse simplex '0,x'\n"),
+    (["prescribe", "--model", "sphere", "--divisor", "{div}"], {"div": "0 : 1\n1 : 0.3 + 1/0 i\n"},
+     "error: line 2: zero denominator in '0.3 + 1/0 i'\n"),
+    (["chern", "--transitions", "{trans}", "--nerve", "{nerve}"],
+     {"trans": "mode abstract\ncomponent a\n0,1,x : 1\n", "nerve": TETRA}, "error: line 3: cannot parse '0,1,x : 1'\n"),
+    (["chern", "--transitions", "{trans}"], {"trans": "mode concrete\ncomponent a : 1/0\n"},
+     "error: line 2: zero denominator in '1/0'\n"),
+    (["dimcount", "--garden", "{garden}"], {"garden": "model sphere\ncomponent 0\nfoo bar\n"},
+     "error: line 3: unknown directive 'foo bar'\n"),
+    (["dimcount", "--garden", "{garden}"], {"garden": "model torus\ntau = 0.3 + 1.1 i\ncutoff = x\n"},
+     "error: line 3: invalid literal for int() with base 10: 'x'\n"),
+    (["decompose", "--form", "{form}"], {"form": "# no line numbers here\n1, 1/0 / 1\n"},
+     "error: zero denominator in '1/0'\n"),
+    (["periods", "--garden", "{garden}", "--form", "{form}"],
+     {"garden": TORUS_GARDEN, "form": "torus-form\nc0 = 1\npp 1/2 : x : 1\n"},
+     "error: line 3: invalid literal for int() with base 10: 'x'\n"),
+    (PAIR_EVAL, {"p": TORUS_PAIR_HEAD + "c0 = 1/0\n[psi]\ntorus-form\n"}, "error: line 10: zero denominator in '1/0'\n"),
+    (PAIR_EVAL, {"p": "[garden]\nmodel sphere\ncomponent 0\ncomponent 1/0\n[phi]\n0\n[psi]\n0\n"},
+     "error: line 4: zero denominator in '1/0'\n"),
+    (PAIR_EVAL, {"p": SPHERE_PAIR_GARDEN + "[phi]\n0\n[psi]\n0\n[phi]\n0\n"}, "error: line 9: repeated section [phi]\n"),
+    (PAIR_EVAL, {"p": SPHERE_PAIR_GARDEN + "[phi]\n0\n[psi]\n0\n\n[chi]\n"}, "error: line 10: unknown section [chi]\n"),
+    (PAIR_EVAL, {"p": "# pair\nmodel sphere\n" + SPHERE_PAIR_GARDEN + "[phi]\n0\n[psi]\n0\n"},
+     "error: line 2: expected a [garden], [phi] or [psi] section header\n"),
 ], ids=["at-zero-denominator", "at-beyond-double", "at-near-double-max", "divisor-zero-denominator",
-        "garden-zero-denominator", "hodge-not-an-integer"])
+        "garden-zero-denominator", "hodge-not-an-integer", "nerve-bad-simplex", "divisor-padded-literal",
+        "abstract-transition-bad-line", "concrete-transition-literal", "garden-unknown-directive",
+        "garden-padded-cutoff", "sphere-form-padded-literal", "torus-form-bad-order", "pair-phi-file-line",
+        "pair-garden-file-line", "pair-repeated-section", "pair-unknown-section", "pair-line-before-header"])
 def test_bad_literals_exit2(tmp_path, capsys, argv, files, err_head):
     paths = {"pair": sphere_pair(tmp_path)}
     paths.update({name: write(tmp_path, name, text) for name, text in files.items()})
