@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -39,7 +40,7 @@ from .sphere import SpherePoint, parse_sphere_point
 
 TWO_PI = 2.0 * math.pi
 WINDING_RESIDUAL_TOL = 0.25
-DEFAULT_WINDING_NODES = 64
+WINDING_NODES = 64  # quadrature nodes per piece of a continuation path
 PATH_CLEARANCE = 0.02
 
 
@@ -108,7 +109,7 @@ def _quotient(f: Factored, g: Factored) -> Dict[ExactComplex, int]:
     return {a: m for a, m in out.items() if m}
 
 
-def _continued_log(g: Factored, base: complex, path: Optional[Path], nodes: int) -> complex:
+def _continued_log(g: Factored, base: complex, path: Optional[Path]) -> complex:
     """log g at the path's endpoint, principal branch at the base point and
     analytic continuation along the path."""
     factors = [(a.to_complex(), m) for a, m in g.items()]
@@ -116,11 +117,11 @@ def _continued_log(g: Factored, base: complex, path: Optional[Path], nodes: int)
     if path is None:
         return start
     return start + fixed_contour_integral(
-        lambda z: sum(m / (z - a) for a, m in factors), path, nodes
+        lambda z: sum(m / (z - a) for a, m in factors), path, WINDING_NODES
     )
 
 
-def _concrete_cocycle(data: TransitionData, nodes: int) -> Cochain:
+def _concrete_cocycle(data: TransitionData) -> Cochain:
     conc = data.concrete
     values: Dict[Tri, ExactComplex] = {}
     for tri in data.nerve.k_simplices(2):
@@ -130,7 +131,7 @@ def _concrete_cocycle(data: TransitionData, nodes: int) -> Cochain:
             g = conc.g[edge]
             base = conc.base_points[edge]
             path = conc.paths.get((edge, tri))
-            total += sign * _continued_log(g, base, path, nodes)
+            total += sign * _continued_log(g, base, path)
         n = total / (2j * math.pi)
         rounded = round(n.real)
         residual = max(abs(n.real - rounded), abs(n.imag))
@@ -148,11 +149,11 @@ def _concrete_cocycle(data: TransitionData, nodes: int) -> Cochain:
     return cochain
 
 
-def chern_cocycle(data: TransitionData, nodes: int = DEFAULT_WINDING_NODES) -> Cochain:
+def chern_cocycle(data: TransitionData) -> Cochain:
     """Integer 2-cocycle of the component's line bundle on the nerve."""
     if data.mode == "abstract":
         return _validate_abstract(data)
-    return _concrete_cocycle(data, nodes)
+    return _concrete_cocycle(data)
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,6 @@ def _h2_space(nerve: Nerve) -> CohomologySpace:
 def double_delta(
     divisor: CDivisor,
     transitions: Sequence[TransitionData],
-    nodes: int = DEFAULT_WINDING_NODES,
 ) -> ObstructionClass:
     """Obstruction class of the divisor: sum a_i [chern cocycle of W_i]."""
     if len(transitions) != len(divisor):
@@ -193,7 +193,7 @@ def double_delta(
             raise TransitionError(f"no transition data for component {name!r}")
         if data.nerve.simplices != nerve.simplices:
             raise TransitionError("transition data live on different nerves")
-        piece = chern_cocycle(data, nodes).scale(coeff)
+        piece = chern_cocycle(data).scale(coeff)
         total = piece if total is None else total + piece
     if total is None:
         total = Cochain(2, {})
@@ -251,7 +251,6 @@ def residue_feasible(
     divisor: CDivisor,
     transitions: Sequence[TransitionData],
     hodge: HodgeRecord,
-    nodes: int = DEFAULT_WINDING_NODES,
 ) -> FeasibilityResult:
     """Decide whether the divisor can be the residue divisor of a closed
     logarithmic 1-form.
@@ -260,7 +259,7 @@ def residue_feasible(
     the Hodge equality: feasible.  Zero class without it: inconclusive (the
     holomorphic invariant that decides is not computable from nerve data).
     """
-    cls = double_delta(divisor, transitions, nodes)
+    cls = double_delta(divisor, transitions)
     if not cls.is_zero():
         return FeasibilityResult(Verdict.INFEASIBLE, cls)
     if has_property_h(hodge):
@@ -268,9 +267,7 @@ def residue_feasible(
     return FeasibilityResult(Verdict.INCONCLUSIVE, cls)
 
 
-def kernel_dimension(
-    transitions: Sequence[TransitionData], nodes: int = DEFAULT_WINDING_NODES
-) -> int:
+def kernel_dimension(transitions: Sequence[TransitionData]) -> int:
     """dim { a : sum a_i [c_1(W_i)] = 0 in H^2 }, by exact rank."""
     if not transitions:
         return 0
@@ -280,7 +277,7 @@ def kernel_dimension(
     for data in transitions:
         if data.nerve.simplices != nerve.simplices:
             raise TransitionError("transition data live on different nerves")
-        columns.append(space.coordinates(chern_cocycle(data, nodes)))
+        columns.append(space.coordinates(chern_cocycle(data)))
     if not columns[0]:
         return len(transitions)
     rows = linalg.transpose(columns)
@@ -359,7 +356,10 @@ def _defining_functions(point: SpherePoint) -> Dict[int, Factored]:
     return fs
 
 
+@functools.cache
 def _cover_paths() -> Tuple[Dict[Edge, complex], Dict[Tuple[Edge, Tri], Path]]:
+    """Edge base points and continuation paths of the built-in cover,
+    built once and shared by every transition datum on it."""
     base: Dict[Edge, complex] = {}
     paths: Dict[Tuple[Edge, Tri], Path] = {}
     for k, theta in _SECTOR_ANGLE.items():

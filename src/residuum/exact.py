@@ -11,7 +11,7 @@ import cmath
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Tuple, Type, Union
+from typing import Iterator, List, Mapping, Tuple, Type, Union
 
 Rat = Union[int, Fraction]
 
@@ -244,7 +244,7 @@ def _lines(text: str) -> Iterator[Tuple[int, str]]:
 
 class _at_line:
     """`with _at_line(lineno, error):` around the reading of one line: a
-    ValueError or IndexError raised inside leaves as `error`, its message
+    ValueError, IndexError or OverflowError raised inside leaves as `error`,
     headed `line N: `.  This is the one place a text reader names a file
     line; errors of no single line are raised outside it, unheaded."""
 
@@ -257,9 +257,31 @@ class _at_line:
         pass
 
     def __exit__(self, kind, e, tb) -> None:
+        if isinstance(e, OverflowError):
+            raise self.error(f"line {self.lineno}: number out of floating-point range ({e})") from None
         if isinstance(e, (IndexError, ValueError)):
-            lineno = self.lineno
-            raise self.error(f"line {lineno}: {e}") from None
+            raise self.error(f"line {self.lineno}: {e}") from None
+
+
+_WORD = re.compile(r"[^\s=]*")
+
+
+def _directive(body: str, usage: Mapping[str, str]) -> Tuple[str, List[str]]:
+    """A line as (directive word, argument fields).  The word ends at
+    whitespace or `=` and keys its form in `usage`: `tau = <complex>` reads
+    after the `=`, `log <pole> : <coeff>` splits at colons into two fields.
+    An unknown word or a missing argument raises ValueError."""
+    word = _WORD.match(body).group()
+    form = usage.get(word)
+    if form is None:
+        raise ValueError(f"unknown directive {body!r}")
+    arg = body[len(word):].strip()
+    if form.startswith(f"{word} = "):
+        arg = arg[1:].strip() if arg.startswith("=") else ""
+    fields = arg.split(":", form.count(" : "))
+    if not arg or len(fields) <= form.count(" : "):
+        raise ValueError(f"{word} line must read `{form}`")
+    return word, fields
 
 
 _TERM = re.compile(

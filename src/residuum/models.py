@@ -11,7 +11,7 @@ these two, is one more class or a few more methods here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -131,10 +131,10 @@ class SphereModel:
     def extra_spanning_forms(self, points: Sequence) -> List[RationalForm]:
         return []
 
-    def fit_long_periods(self, base, targets, points, long_periods, tol) -> RationalForm:
+    def fit_long_periods(self, base, targets, points, base_longs, tol) -> RationalForm:
         return base  # no long periods
 
-    def normalize_pure_imaginary(self, form, long_periods) -> RationalForm:
+    def normalize_pure_imaginary(self, form, b) -> RationalForm:
         return form
 
 
@@ -265,15 +265,16 @@ class TorusModel:
 
     def fit_long_periods(
         self, base: EllipticForm, targets: Sequence[complex], points: Sequence,
-        long_periods: Callable[[EllipticForm], List[complex]], tol: float,
+        base_longs: Sequence[complex], tol: float,
     ) -> EllipticForm:
-        """base + alpha dz + beta wp(z - p1) dz with the target long periods.
+        """base + alpha dz + beta wp(z - p1) dz with the target long periods,
+        given the long periods of base.
 
         The system's determinant is the Legendre constant 2 pi i, so it
         never degenerates; with no point to host wp only alpha dz is left.
         """
         torus = self.torus
-        u = long_periods(base) if not base.is_zero() else [0j, 0j]
+        u = base_longs if not base.is_zero() else [0j, 0j]
         rhs1 = complex(targets[0]) - u[0]
         rhs2 = complex(targets[1]) - u[1]
         if not points:
@@ -293,10 +294,10 @@ class TorusModel:
             out = out + self.second_kind(points[0], 2).scale(beta)
         return out
 
-    def normalize_pure_imaginary(self, form: EllipticForm, long_periods) -> EllipticForm:
-        """form + mu dz with both long periods purely imaginary."""
+    def normalize_pure_imaginary(self, form: EllipticForm, b: Sequence[complex]) -> EllipticForm:
+        """form + mu dz with both long periods purely imaginary, given the
+        form's long periods b."""
         tau = self.torus.tau
-        b = long_periods(form)
         x = -b[0].real
         y = (b[1].real + x * tau.real) / tau.imag
         return form + tor.holomorphic_torus(self.torus, complex(x, y))

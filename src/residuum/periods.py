@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .divisor import CDivisor
-from .exact import ExactComplex, _at_line, _lines, format_complex, parse_exact
+from .exact import ExactComplex, _at_line, _directive, _lines, format_complex, parse_exact
 from .models import Form, Model, ModelError, make_model, prescribe_residues
 from .sphere import SpherePoint
 from .torus import DEFAULT_CUTOFF
@@ -172,14 +172,14 @@ class Path:
         off = None if self.offset is None else -self.offset
         return Path(rev, off)
 
-    def min_distance(self, point: complex, per_piece: int = 256) -> float:
-        """Distance from the path to a point (dense sampling; exact for lines)."""
+    def min_distance(self, point: complex) -> float:
+        """Distance from the path to a point (256 samples per arc; exact for lines)."""
         best = math.inf
         for p in self.pieces:
             if p.kind == "line":
                 best = min(best, _segment_distance(p.a, p.b, point))
             else:
-                t = np.linspace(0.0, 1.0, per_piece)
+                t = np.linspace(0.0, 1.0, 256)
                 best = min(best, float(np.min(np.abs(p.point(t) - point))))
         return best
 
@@ -296,26 +296,13 @@ def _panel_rule(panels: int) -> Tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _integrate_piece_fixed(func, piece: Piece, panels: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The rule's integral and absolute-value integral of the integrand, or
-    of each row of a stacked one (shape (k, N) on N points)."""
-    t, weights = _panel_rule(panels)
-    z = piece.point(t)
-    terms = func(z) * piece.velocity(t) * weights
-    return np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)
-
-
 ROUNDOFF_REL = 5e-14
 
 
-def contour_integral(
-    form_or_func: Union[Form, FormStack, Callable],
-    path: Path,
-    tol: float = QUAD_TOL,
-) -> Union[complex, List[complex]]:
+def contour_integral(form_or_func: Union[Form, FormStack, Callable], path: Path) -> Union[complex, List[complex]]:
     """Adaptive composite Gauss-Legendre integral of f(z) dz along the path.
 
-    Panel count doubles until two refinements agree within `tol` plus the
+    Panel count doubles until two refinements agree within QUAD_TOL plus the
     double-precision roundoff floor of the absolute-value integral; raises
     QuadratureError at the panel cap (a pole too close to the path).
 
@@ -325,7 +312,7 @@ def contour_integral(
     stops; a row that fails leaves the rest running, and the first failed
     row's error is raised with every row's outcome as `rows`.
     """
-    [outcome] = contour_integrals(form_or_func, [path], tol)
+    [outcome] = contour_integrals(form_or_func, [path])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -345,9 +332,7 @@ class _PieceRun:
 
 
 def contour_integrals(
-    form_or_func: Union[Form, FormStack, Callable],
-    paths: Sequence[Path],
-    tol: float = QUAD_TOL,
+    form_or_func: Union[Form, FormStack, Callable], paths: Sequence[Path]
 ) -> List[Union[complex, List[complex], Exception]]:
     """`contour_integral` of one integrand along each path, refined in lockstep.
 
@@ -378,7 +363,7 @@ def contour_integrals(
             else:
                 still = []
                 for i in run.live:
-                    if abs(cur[i] - run.prev[i]) < tol + ROUNDOFF_REL * rough[i]:
+                    if abs(cur[i] - run.prev[i]) < QUAD_TOL + ROUNDOFF_REL * rough[i]:
                         run.rows[i] = cur[i]
                     elif panels >= MAX_PANELS:
                         run.rows[i] = QuadratureError(
@@ -455,10 +440,15 @@ def _path_outcome(runs: Sequence[_PieceRun], vector: bool):
 
 
 def fixed_contour_integral(form_or_func, path: Path, nodes_per_piece: int = 64) -> complex:
-    """Non-adaptive composite rule (nodes_per_piece = panels x 16 nodes)."""
+    """Non-adaptive composite rule (nodes_per_piece = panels x 16 nodes),
+    the panel rule of `contour_integrals` at one fixed level."""
     func = form_or_func.eval_complex if hasattr(form_or_func, "eval_complex") else form_or_func
-    panels = max(1, nodes_per_piece // GL_NODES)
-    return sum((complex(_integrate_piece_fixed(func, p, panels)[0]) for p in path.pieces), 0j)
+    total = 0j
+    for sums in _rule_sums(func, path.pieces, max(1, nodes_per_piece // GL_NODES)):
+        if isinstance(sums, Exception):
+            raise sums
+        total += sums[1][0]
+    return total
 
 
 @dataclass(frozen=True)
@@ -489,7 +479,6 @@ class Garden:
     components: Tuple[Point, ...]
     loop_basis: Tuple[Path, ...]
     basepoint: complex
-    pole_margin: float = HARD_POLE_MARGIN
 
     @property
     def component_names(self) -> Tuple[str, ...]:
@@ -540,12 +529,12 @@ def make_garden(
     garden = Garden(model, comps, loop_basis, basepoint)
 
     clearance = _clearance_of_loops(garden.loop_basis, sites)
-    if clearance < garden.pole_margin:
+    if clearance < HARD_POLE_MARGIN:
         raise GardenError(
             f"loop basis clears the components by only {clearance:.2e} "
-            f"(margin {garden.pole_margin})"
+            f"(margin {HARD_POLE_MARGIN})"
         )
-    if any(abs(garden.basepoint - p) < garden.pole_margin for p in sites):
+    if any(abs(garden.basepoint - p) < HARD_POLE_MARGIN for p in sites):
         raise GardenError("basepoint sits within the pole margin of a component")
     if len(garden.loop_basis) != model.b1:
         raise GardenError(
@@ -589,9 +578,9 @@ def _check_form_in_garden(form: Form, garden: Garden) -> None:
             )
 
 
-def long_period_vector(form: Form, garden: Garden, tol: float = QUAD_TOL) -> List[complex]:
+def long_period_vector(form: Form, garden: Garden) -> List[complex]:
     """Integrals of the form over the garden's loop basis (empty on the sphere)."""
-    return stacked_period_vectors([form], garden, tol, shorts=False)[0][0]
+    return stacked_period_vectors([form], garden, shorts=False)[0][0]
 
 
 def small_circle_radius(garden: Garden, index: int) -> float:
@@ -610,24 +599,21 @@ def _component_circle(garden: Garden, index: int) -> Tuple[Path, bool]:
     return circle(center, r), False
 
 
-def short_period_vector(
-    form: Form, garden: Garden, tol: float = QUAD_TOL
-) -> List[complex]:
+def short_period_vector(form: Form, garden: Garden) -> List[complex]:
     """d_j = integral over a small circle around each component.
 
     Computed by quadrature and cross-checked against 2 pi i times the exact
     residue; disagreement beyond 1e-9 raises QuadratureError.
     """
-    return stacked_period_vectors([form], garden, tol, longs=False)[0][1]
+    return period_vectors(form, garden)[1]
 
 
-def period_vectors(form: Form, garden: Garden, tol: float = QUAD_TOL) -> Tuple[List[complex], List[complex]]:
-    return stacked_period_vectors([form], garden, tol)[0]
+def period_vectors(form: Form, garden: Garden) -> Tuple[List[complex], List[complex]]:
+    return stacked_period_vectors([form], garden)[0]
 
 
 def stacked_period_vectors(
-    forms: Sequence[Form], garden: Garden, tol: float = QUAD_TOL,
-    longs: bool = True, shorts: bool = True,
+    forms: Sequence[Form], garden: Garden, shorts: bool = True
 ) -> List[Tuple[List[complex], List[complex]]]:
     """(long, short) period vectors of each form, from one lockstep batch
     (`contour_integrals`) for all the forms on the loops and finite small
@@ -648,7 +634,7 @@ def stacked_period_vectors(
     def chart(w):  # the circle around infinity lies in the w = 1/z chart: f(z) dz = -f(1/w) / w^2 dw
         return -stack.eval_complex(1.0 / w) / w**2
 
-    jobs = [(stack, loop) for loop in garden.loop_basis] if longs else []
+    jobs = [(stack, loop) for loop in garden.loop_basis]
     n_long = len(jobs)
     if shorts:
         for j in range(len(garden.components)):
@@ -658,7 +644,7 @@ def stacked_period_vectors(
     for integrand in (stack, chart):
         batch = [k for k, job in enumerate(jobs) if job[0] is integrand]
         if batch:
-            for k, outcome in zip(batch, contour_integrals(integrand, [jobs[k][1] for k in batch], tol)):
+            for k, outcome in zip(batch, contour_integrals(integrand, [jobs[k][1] for k in batch])):
                 done[k] = outcome.rows if isinstance(outcome, QuadratureError) else outcome
 
     def value(job: int, row: int) -> complex:
@@ -686,14 +672,7 @@ def stacked_period_vectors(
     return out
 
 
-def well_defined_residue_check(
-    form: Form,
-    garden: Garden,
-    component_index: int,
-    circle1: Path,
-    circle2: Path,
-    tol: float = RESIDUE_AGREE_TOL,
-) -> bool:
+def well_defined_residue_check(form: Form, garden: Garden, component_index: int, circle1: Path, circle2: Path) -> bool:
     """Two admissible circles around one component give equal integrals.
 
     Each circle must enclose that pole and no other; violating the
@@ -715,13 +694,13 @@ def well_defined_residue_check(
             )
     v1 = contour_integral(form, circle1)
     v2 = contour_integral(form, circle2)
-    return abs(v1 - v2) < tol
+    return abs(v1 - v2) < RESIDUE_AGREE_TOL
 
 
-def is_exact(form: Form, garden: Garden, tol: Optional[float] = None) -> bool:
+def is_exact(form: Form, garden: Garden) -> bool:
     """True iff all long and short periods vanish numerically; on the sphere
     additionally verified against the symbolic criterion (all residues zero)."""
-    tol = period_tolerance() if tol is None else tol
+    tol = period_tolerance()
     longs, shorts = period_vectors(form, garden)
     numeric = all(abs(v) < tol for v in longs) and all(abs(v) < tol for v in shorts)
     symbolic = garden.model.symbolic_exactness(form)
@@ -753,19 +732,26 @@ def prescribe_full(
         base = prescribe_residues(garden.model, target_residues)
     except (ValueError, ModelError) as e:
         raise PrescriptionError(str(e)) from None
+    tol = period_tolerance()
     try:
         return garden.model.fit_long_periods(
-            base,
-            target_long,
-            garden.components,
-            lambda f: long_period_vector(f, garden),
-            period_tolerance(),
+            base, target_long, garden.components, long_period_vector(base, garden), tol
         )
     except ModelError as e:
         raise PrescriptionError(str(e)) from None
 
 
 # -- garden text format ---------------------------------------------------------
+
+
+_GARDEN_LINES = {
+    "model": "model sphere|torus",
+    "tau": "tau = <complex>",
+    "cutoff": "cutoff = <N>",
+    "component": "component <point>",
+    "basepoint": "basepoint <complex>",
+    "loop": "loop circle|polyline <spec>",
+}
 
 
 def parse_garden_text(text: str) -> Garden:
@@ -790,21 +776,20 @@ def parse_garden_text(text: str) -> Garden:
     loop_specs: List[Tuple[int, str, str]] = []
     for lineno, body in _lines(text):
         with _at_line(lineno, GardenError):
-            if body.startswith("model"):
-                model_tag = body.split(None, 1)[1].strip()
-            elif body.startswith("tau"):
-                tau = parse_exact(body.split("=", 1)[1]).to_complex()
-            elif body.startswith("cutoff"):
-                cutoff = int(body.split("=", 1)[1].strip())
-            elif body.startswith("component"):
-                components.append((lineno, body.split(None, 1)[1].strip()))
-            elif body.startswith("basepoint"):
-                basepoint = parse_exact(body.split(None, 1)[1]).to_complex()
-            elif body.startswith("loop"):
-                kind_rest = body.split(None, 2)
-                loop_specs.append((lineno, kind_rest[1], kind_rest[2] if len(kind_rest) > 2 else ""))
+            word, [arg] = _directive(body, _GARDEN_LINES)
+            if word == "model":
+                model_tag = arg
+            elif word == "tau":
+                tau = parse_exact(arg).to_complex()
+            elif word == "cutoff":
+                cutoff = int(arg)
+            elif word == "component":
+                components.append((lineno, arg))
+            elif word == "basepoint":
+                basepoint = parse_exact(arg).to_complex()
             else:
-                raise GardenError(f"unknown directive {body!r}")
+                kind, *rest = arg.split(None, 1)
+                loop_specs.append((lineno, kind, rest[0] if rest else ""))
     if model_tag is None:
         raise GardenError("garden file needs a `model sphere|torus` line")
     try:
@@ -850,4 +835,4 @@ def format_garden_text(garden: Garden) -> str:
 def normalize_pure_imaginary(form: Form, garden: Garden) -> Form:
     """Add mu dz so both long periods become purely imaginary (torus only;
     on the sphere there are no long periods and the form returns unchanged)."""
-    return garden.model.normalize_pure_imaginary(form, lambda f: long_period_vector(f, garden))
+    return garden.model.normalize_pure_imaginary(form, long_period_vector(form, garden))

@@ -38,6 +38,7 @@ from .periods import (
     FormStack,
     Garden,
     GardenError,
+    HARD_POLE_MARGIN,
     Path,
     PrescriptionError,
     _component_circle,
@@ -75,8 +76,8 @@ class AntiMeromorphicForm:
 
     conjugate_of: Form
 
-    def integrate(self, path: Path, tol: float = 1e-12) -> complex:
-        return contour_integral(self.conjugate_of, path, tol).conjugate()
+    def integrate(self, path: Path) -> complex:
+        return contour_integral(self.conjugate_of, path).conjugate()
 
 
 def conjugate(form: Form, garden: Garden) -> AntiMeromorphicForm:
@@ -109,7 +110,7 @@ def conjugate(form: Form, garden: Garden) -> AntiMeromorphicForm:
     (b, _), (u, _) = stacked_period_vectors((form, base), garden, shorts=False)
     try:
         psi = model.fit_long_periods(
-            base, [-v.conjugate() for v in b], garden.components, lambda f: u, period_tolerance()
+            base, [-v.conjugate() for v in b], garden.components, u, period_tolerance()
         )
     except ModelError as e:
         raise PrescriptionError(str(e)) from None
@@ -130,8 +131,8 @@ class Pair:
     short_hat: Tuple[complex, ...]
 
     @staticmethod
-    def build(form: Form, garden: Garden, tol: Optional[float] = None) -> "Pair":
-        tol = period_tolerance() if tol is None else tol
+    def build(form: Form, garden: Garden) -> "Pair":
+        tol = period_tolerance()
         hat = conjugate(form, garden)
         pair = Pair.assemble(form, hat, garden)
         defects = pair.invariant_defects()
@@ -158,16 +159,16 @@ class Pair:
         out += [abs(a + b) for a, b in zip(self.short_phi, self.short_hat)]
         return out
 
-    def integral(self, path: Path, tol: float = 1e-12) -> complex:
+    def integral(self, path: Path) -> complex:
         stack = FormStack(self.garden.model, (self.phi, self.phi_hat.conjugate_of))
-        phi, psi = contour_integral(stack, path, tol)
+        phi, psi = contour_integral(stack, path)
         return phi + psi.conjugate()
 
-    def integrals(self, paths: Sequence[Path], tol: float = 1e-12) -> List[Union[complex, Exception]]:
+    def integrals(self, paths: Sequence[Path]) -> List[Union[complex, Exception]]:
         """`integral` along each path, from one lockstep batch: per path the
         value, or the exception that `integral` on it alone raises."""
         stack = FormStack(self.garden.model, (self.phi, self.phi_hat.conjugate_of))
-        out = contour_integrals(stack, paths, tol)
+        out = contour_integrals(stack, paths)
         return [v if isinstance(v, Exception) else v[0] + v[1].conjugate() for v in out]
 
 
@@ -183,12 +184,12 @@ def _same_garden(g1: Garden, g2: Garden) -> bool:
     )
 
 
-def pairs_equivalent(pair1: Pair, pair2: Pair, tol: Optional[float] = None) -> bool:
+def pairs_equivalent(pair1: Pair, pair2: Pair) -> bool:
     """Fields agree modulo meromorphic + anti-meromorphic functions iff the
     underlying forms share long and short period vectors."""
     if not _same_garden(pair1.garden, pair2.garden):
         raise PairError("pairs live on different gardens")
-    tol = period_tolerance() if tol is None else tol
+    tol = period_tolerance()
     longs = zip(pair1.long_phi, pair2.long_phi)
     shorts = zip(pair1.short_phi, pair2.short_phi)
     return all(abs(a - b) < tol for a, b in longs) and all(
@@ -199,7 +200,7 @@ def pairs_equivalent(pair1: Pair, pair2: Pair, tol: Optional[float] = None) -> b
 # -- field evaluation ------------------------------------------------------------
 
 
-def evaluation_path(garden: Garden, z: complex, margin: Optional[float] = None) -> Path:
+def evaluation_path(garden: Garden, z: complex) -> Path:
     """Deterministic basepoint-to-z path: straight segment with circular
     detours around any pole site closer than the detour margin.
 
@@ -208,14 +209,13 @@ def evaluation_path(garden: Garden, z: complex, margin: Optional[float] = None) 
     vector into the basepoint's cell; a pair's long periods cancel, so its
     field takes the same value there."""
     sites = garden.pole_sites()
-    if margin is None:
-        margin = 0.05
-        for i, p in enumerate(sites):
-            for q in sites[i + 1:]:
-                d = abs(p - q)
-                if d > 1e-12:
-                    margin = min(margin, 0.45 * d)
-        margin = max(margin, garden.pole_margin)
+    margin = 0.05
+    for i, p in enumerate(sites):
+        for q in sites[i + 1:]:
+            d = abs(p - q)
+            if d > 1e-12:
+                margin = min(margin, 0.45 * d)
+    margin = max(margin, HARD_POLE_MARGIN)
     end = garden.model.evaluation_point(z, garden.basepoint)
     if any(abs(end - p) < margin for p in sites):
         raise GardenError(f"evaluation point {z} is within {margin} of a pole")
@@ -232,26 +232,18 @@ class PluriharmonicField:
     def garden(self) -> Garden:
         return self.pair.garden
 
-    def value(self, z: complex, path: Optional[Path] = None) -> complex:
+    def value(self, z: complex) -> complex:
         """h(z), complex in general (real when the data is self-conjugate);
         h is 0 at the garden basepoint by definition."""
-        if path is None:
-            path = self._path_to(complex(z))
-            if path is None:
-                return 0j
-        else:
-            if abs(path.start - self.garden.basepoint) > 1e-12:
-                raise PairError("evaluation path must start at the garden basepoint")
-            if abs(path.end - complex(z)) > 1e-12:
-                raise PairError("evaluation path must end at the evaluation point")
-        return self.pair.integral(path)
+        path = self._path_to(complex(z))
+        return 0j if path is None else self.pair.integral(path)
 
-    def real_value(self, z: complex, path: Optional[Path] = None,
-                   tol: Optional[float] = None) -> float:
-        """h(z) checked to be real within tolerance; the mathematical field
-        is real exactly when residues are real and long periods imaginary."""
-        tol = period_tolerance() if tol is None else tol
-        return _real(self.value(z, path), tol)
+    def real_value(self, z: complex) -> float:
+        """h(z) checked to be real within the period tolerance; the
+        mathematical field is real exactly when residues are real and long
+        periods imaginary."""
+        tol = period_tolerance()
+        return _real(self.value(z), tol)
 
     def _path_to(self, z: complex) -> Optional[Path]:
         """The evaluation path to z, or None at the basepoint, where h is 0."""
@@ -300,10 +292,10 @@ def _real(w: complex, tol: float) -> float:
     return w.real
 
 
-def integrate_pair(pair: Pair, z: complex, path: Optional[Path] = None) -> float:
+def integrate_pair(pair: Pair, z: complex) -> float:
     """Path integral of the pair from basepoint to z, returned as a real
     value after checking the imaginary residue."""
-    return PluriharmonicField(pair).real_value(z, path)
+    return PluriharmonicField(pair).real_value(z)
 
 
 def log_field(garden: Garden, coefficients: Sequence[complex]) -> PluriharmonicField:
@@ -337,12 +329,11 @@ def _random_audit_loops(garden: Garden, n: int, seed: int) -> List[Path]:
     box = garden.model.audit_box(garden.components)
     loops: List[Path] = []
     attempts = 0
-    margin = max(garden.pole_margin, 0.04)
     while len(loops) < n and attempts < 100 * n:
         attempts += 1
         center = complex(rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3]))
         radius = rng.uniform(0.05, 0.6)
-        if all(abs(abs(center - p) - radius) > margin for p in sites):
+        if all(abs(abs(center - p) - radius) > 0.04 for p in sites):  # clear of every pole by 0.04
             loop = circle(center, radius)
             loops.append(loop if rng.random() < 0.5 else loop.reversed())
     if len(loops) < n:

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import _at_line, _lines, format_complex, parse_exact
+from .exact import _at_line, _directive, _lines, format_complex, parse_exact
 
 TWO_PI_I = 2j * math.pi
 LATTICE_MARGIN = 1e-8
@@ -419,6 +419,9 @@ def format_elliptic_form_text(form: EllipticForm) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FORM_LINES = {"c0": "c0 = <complex>", "log": "log <pole> : <coeff>", "pp": "pp <pole> : <order> : <coeff>"}
+
+
 def parse_elliptic_form_text(text: str, torus: Torus) -> EllipticForm:
     c0 = 0j
     logs = []
@@ -429,22 +432,15 @@ def parse_elliptic_form_text(text: str, torus: Torus) -> EllipticForm:
             saw_header = True
             continue
         with _at_line(lineno, TorusError):
-            if body.startswith("c0"):
-                c0 = parse_exact(body.split("=", 1)[1]).to_complex()
-            elif body.startswith("log"):
-                pole, coeff = body[3:].split(":", 1)
+            word, fields = _directive(body, _FORM_LINES)
+            if word == "c0":
+                c0 = parse_exact(fields[0]).to_complex()
+            elif word == "log":
+                pole, coeff = fields
                 logs.append((parse_exact(pole).to_complex(), parse_exact(coeff).to_complex()))
-            elif body.startswith("pp"):
-                pole, order, coeff = body[2:].split(":", 2)
-                seconds.append(
-                    (
-                        parse_exact(pole).to_complex(),
-                        int(order.strip()),
-                        parse_exact(coeff).to_complex(),
-                    )
-                )
             else:
-                raise TorusError(f"unknown directive {body!r}")
+                pole, order, coeff = fields
+                seconds.append((parse_exact(pole).to_complex(), int(order.strip()), parse_exact(coeff).to_complex()))
     if not saw_header:
         raise TorusError("missing `torus-form` header")
     return EllipticForm(torus, c0, tuple(logs), tuple(seconds))

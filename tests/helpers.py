@@ -7,7 +7,7 @@ import numpy as np
 
 from residuum.divisor import CDivisor
 from residuum.exact import ExactComplex, ONE, ZERO
-from residuum.periods import MAX_PANELS, QUAD_TOL, ROUNDOFF_REL, QuadratureError, _integrate_piece_fixed
+from residuum.periods import MAX_PANELS, QUAD_TOL, ROUNDOFF_REL, QuadratureError, _panel_rule
 from residuum.rational import Polynomial
 from residuum.sphere import RationalForm
 
@@ -65,6 +65,15 @@ def random_cover_divisor(rng, force_zero_sum):
     else:
         coeffs.append(ExactComplex(rng.randint(-4, 4), rng.randint(-4, 4)))
     return CDivisor.from_pairs([(str(p), c) for p, c in zip(points, coeffs)])
+
+
+def _integrate_piece_fixed(func, piece, panels):
+    """The panel rule's integral and absolute-value integral of the
+    integrand on one piece, or of each row of a stacked one (shape (k, N)
+    on N points)."""
+    t, weights = _panel_rule(panels)
+    terms = func(piece.point(t)) * piece.velocity(t) * weights
+    return np.sum(terms, axis=-1), np.sum(np.abs(terms), axis=-1)
 
 
 def reference_contour_integral(form_or_func, path, tol=QUAD_TOL):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from residuum import chern
 from residuum.cech import (
     CohomologySpace,
     coboundary,
@@ -102,9 +103,22 @@ def test_point_divisor_class_is_one_everywhere(point):
     assert cls.coordinates == (ONE,)
 
 
-def test_winding_stability_under_node_doubling():
+def test_winding_stability_under_node_doubling(monkeypatch):
     td = sphere_point_transitions(CENTER_POINT)
-    assert chern_cocycle(td, nodes=64).values == chern_cocycle(td, nodes=128).values
+    at_64 = chern_cocycle(td).values
+    monkeypatch.setattr(chern, "WINDING_NODES", 128)
+    assert chern_cocycle(td).values == at_64
+
+
+def test_transitions_share_the_cover_paths():
+    a = sphere_point_transitions(CENTER_POINT).concrete
+    b = sphere_point_transitions("11/20 + 1/5 i").concrete
+    assert a.paths is b.paths and a.base_points is b.base_points
+    fresh_base, fresh_paths = chern._cover_paths.__wrapped__()
+    assert a.base_points == fresh_base
+    assert {key: (path.pieces, path.offset) for key, path in a.paths.items()} == {
+        key: (path.pieces, path.offset) for key, path in fresh_paths.items()
+    }
 
 
 def test_winding_residual_rejected():

@@ -319,6 +319,7 @@ def sphere_pair(tmp_path):
 TORUS_PAIR_HEAD = "[garden]\n" + TORUS_GARDEN + "basepoint 1/2 + 1/2 i\n[phi]\ntorus-form\n"
 SPHERE_PAIR_GARDEN = "[garden]\nmodel sphere\ncomponent 0\ncomponent 1\n"
 PAIR_EVAL = ["pluriharm", "eval", "--pair", "{p}", "--at", "2"]
+OVERFLOW = "number out of floating-point range (integer division result too large for a float)"
 
 
 @pytest.mark.parametrize("argv, files, err_head", [
@@ -354,11 +355,31 @@ PAIR_EVAL = ["pluriharm", "eval", "--pair", "{p}", "--at", "2"]
     (PAIR_EVAL, {"p": SPHERE_PAIR_GARDEN + "[phi]\n0\n[psi]\n0\n\n[chi]\n"}, "error: line 10: unknown section [chi]\n"),
     (PAIR_EVAL, {"p": "# pair\nmodel sphere\n" + SPHERE_PAIR_GARDEN + "[phi]\n0\n[psi]\n0\n"},
      "error: line 2: expected a [garden], [phi] or [psi] section header\n"),
+    (["dimcount", "--garden", "{garden}"], {"garden": "model torus\ntau = 1e400 + i\n"},
+     f"error: line 2: {OVERFLOW}\n"),
+    (["dimcount", "--garden", "{garden}"], {"garden": "model torus\ntau = 0.3 + 1.1 i\ncomponent 1e400\n"},
+     f"error: line 3: {OVERFLOW}\n"),
+    (["dimcount", "--garden", "{garden}"], {"garden": "model sphere\ncomponent 1e400\ncomponent 0\n"},
+     f"error: {OVERFLOW}\n"),
+    (["dimcount", "--garden", "{garden}"], {"garden": "model sphere\ncomponent\n"},
+     "error: line 2: component line must read `component <point>`\n"),
+    (["dimcount", "--garden", "{garden}"], {"garden": "# bare\nmodel\n"},
+     "error: line 2: model line must read `model sphere|torus`\n"),
+    (["periods", "--garden", "{garden}", "--form", "{form}"],
+     {"garden": TORUS_GARDEN, "form": "torus-form\nc0 = 1\nlog 0.5\n"},
+     "error: line 3: log line must read `log <pole> : <coeff>`\n"),
+    (["dimcount", "--garden", "{garden}"], {"garden": "model sphere\ncomponents 0\ncomponent 1\n"},
+     "error: line 2: unknown directive 'components 0'\n"),
+    (["dimcount", "--garden", "{garden}"], {"garden": "modelx sphere\ncomponent 0\ncomponent 1\n"},
+     "error: line 1: unknown directive 'modelx sphere'\n"),
 ], ids=["at-zero-denominator", "at-beyond-double", "at-near-double-max", "divisor-zero-denominator",
         "garden-zero-denominator", "hodge-not-an-integer", "nerve-bad-simplex", "divisor-padded-literal",
         "abstract-transition-bad-line", "concrete-transition-literal", "garden-unknown-directive",
         "garden-padded-cutoff", "sphere-form-padded-literal", "torus-form-bad-order", "pair-phi-file-line",
-        "pair-garden-file-line", "pair-repeated-section", "pair-unknown-section", "pair-line-before-header"])
+        "pair-garden-file-line", "pair-repeated-section", "pair-unknown-section", "pair-line-before-header",
+        "garden-tau-overflow", "torus-component-overflow", "sphere-component-overflow-unheaded",
+        "garden-component-no-argument", "garden-bare-model", "torus-form-log-no-coefficient",
+        "garden-directive-longer-word", "garden-model-longer-word"])
 def test_bad_literals_exit2(tmp_path, capsys, argv, files, err_head):
     paths = {"pair": sphere_pair(tmp_path)}
     paths.update({name: write(tmp_path, name, text) for name, text in files.items()})

@@ -306,10 +306,10 @@ def test_conjugate_is_prescribe_full_with_one_pass_per_loop(monkeypatch):
     passes = []  # per lockstep batch: integrand, paths, and the size of each integrand call
     batch = periods.contour_integrals
 
-    def counted(integrand, paths, tol):
+    def counted(integrand, paths):
         sizes = []
         passes.append((integrand, list(paths), sizes))
-        return batch(lambda z: sizes.append(np.size(z)) or integrand.eval_complex(z), paths, tol)
+        return batch(lambda z: sizes.append(np.size(z)) or integrand.eval_complex(z), paths)
 
     monkeypatch.setattr(periods, "contour_integrals", counted)
     Pair.build(form, T_GARDEN)
